@@ -723,7 +723,9 @@ pub fn collect_item_spans(file: &File) -> Vec<Span> {
 }
 
 /// Walks every function (with its enclosing impl type name, if any)
-/// under the file's items, including functions nested in modules.
+/// under the file's items, including functions nested in modules but
+/// skipping `#[cfg(test)]` modules — the function set the summary
+/// engine and the AST rules share.
 pub fn walk_fns<'a>(file: &'a File, f: &mut impl FnMut(Option<&'a str>, &'a Func)) {
     fn items<'a>(
         list: &'a [Item],
@@ -734,7 +736,7 @@ pub fn walk_fns<'a>(file: &'a File, f: &mut impl FnMut(Option<&'a str>, &'a Func
             match &item.kind {
                 ItemKind::Fn(func) => f(owner, func),
                 ItemKind::Impl(imp) => items(&imp.items, Some(&imp.ty_name), f),
-                ItemKind::Mod(m) => items(&m.items, owner, f),
+                ItemKind::Mod(m) if !m.cfg_test => items(&m.items, owner, f),
                 _ => {}
             }
         }

@@ -1,16 +1,23 @@
-//! Cross-file call graph and per-function taint summaries.
+//! The interprocedural summary engine: one lattice, one solver.
 //!
-//! This is the interprocedural layer on top of `dataflow.rs`. For every
-//! function defined in the flow-analyzed crates it computes a
-//! [`FnSummary`] describing how values move *through* the function:
-//! which parameters flow to the return value, which parameters reach an
-//! event-scheduling sink inside the body (directly or via further
-//! calls), and whether the return value is itself a nondeterminism
-//! source or a hash-ordered collection. `dataflow.rs` then consumes the
-//! summaries at call sites, so a taint laundered through a helper —
+//! For every function defined in the flow-analyzed crates, [`build`]
+//! computes one [`FnSummary`] describing what the function does with
+//! the values and state it is handed:
+//!
+//! * **taint** — which parameters flow to the return value, which reach
+//!   an event-scheduling sink inside the body (directly or via further
+//!   calls), and whether the return value is itself a nondeterminism
+//!   source or a hash-ordered collection;
+//! * **units** — the declared time unit of the returned value;
+//! * **write effects** — which parameters (by index and first projected
+//!   field) and which statics the body may write *sim* state through.
+//!
+//! The body walker in `dataflow.rs` consumes the summaries at call
+//! sites, so a taint laundered through a helper —
 //! `sched.schedule(hop1(stamp), 0)` where `hop1` forwards to `hop2`
 //! which returns its argument — is still reported at the one call site
-//! where the tainted value actually enters the flow.
+//! where the tainted value enters the flow, and a sim-state write two
+//! helper hops below an observation gate is reported at the gated call.
 //!
 //! Like the rest of simlint's symbol layer, summaries are keyed by
 //! *name*, not by resolved path: the hand-rolled parser has no type
@@ -18,29 +25,33 @@
 //! Names defined with conflicting arities are excluded outright
 //! (callers fall back to the conservative intra-procedural behavior),
 //! and same-arity same-name definitions are merged by union, which
-//! over-approximates but never misses a flow.
+//! over-approximates but never misses a flow or a write.
 //!
-//! Recursion and mutual calls terminate because summaries are computed
-//! as a fixpoint over the call graph's strongly connected components:
-//! Tarjan's algorithm (iterative, so adversarial call-chain depth
-//! cannot overflow the stack) emits SCCs callees-first; single
-//! functions are summarized once, and each cycle starts from the empty
-//! summary and iterates until stable. Every summary field only ever
-//! grows (bit-masks union, flags latch), so the fixpoint is reached in
-//! a bounded number of rounds.
+//! The solver runs once: it collects definitions (with their impl
+//! owner), drops conflicting arities, builds the name-granular call
+//! graph, and condenses it with Tarjan's algorithm (iterative, so
+//! adversarial call-chain depth cannot overflow the stack), which emits
+//! SCCs callees-first. An acyclic function is summarized in one walk;
+//! each cycle starts from the empty summary and re-walks its members
+//! until no summary changes. Every field only grows (bit-masks and sets
+//! union, flags and first-seen values latch) and the lattice is finite
+//! — 32 parameter bits, the fields and statics the workspace names — so
+//! the loop terminates without a round cap.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::ast::{walk_block_exprs, ExprKind, File, Func, Item, ItemKind};
-use crate::dataflow::{summarize_fn, TaintKind};
+use crate::ast::{walk_block_exprs, walk_fns, ExprKind, File, Func};
+use crate::dataflow::{summarize_fn, Ctx, TaintKind};
+use crate::effects::StateModel;
 use crate::symbols::{Symbols, Unit, UnitAnnotations};
 
-/// How values flow through one named function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What one named function does with its inputs: how values flow
+/// through it and which sim state it may write.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FnSummary {
     /// Declared parameter count, `self` included.
     pub arity: usize,
-    /// The first parameter is a `self` receiver.
+    /// The first parameter is a `self` receiver (in any definition).
     pub has_self: bool,
     /// Bitmask of parameters (bit *i* = param *i*, capped at 31) whose
     /// value can reach the function's return value.
@@ -59,36 +70,71 @@ pub struct FnSummary {
     /// suffix-less helper). A unit in the function's own name wins at
     /// call sites; this fills the gap when there is none.
     pub returns_unit: Option<Unit>,
+    /// `(parameter index, first projected field)` pairs the body may
+    /// write sim state through, transitively. An empty field name means
+    /// the parameter's own pointee (`*p = v`). Observer-classified
+    /// writes are never recorded: they are the observer layers' job.
+    pub sim_writes: BTreeSet<(usize, String)>,
+    /// Names of sim statics the body may write, transitively.
+    pub sim_statics: BTreeSet<String>,
 }
 
 impl FnSummary {
-    fn empty(arity: usize, has_self: bool) -> FnSummary {
+    /// The bottom of the lattice for `func`: nothing flows, nothing is
+    /// written.
+    pub(crate) fn empty(func: &Func) -> FnSummary {
         FnSummary {
-            arity,
-            has_self,
+            arity: func.params.len(),
+            has_self: func
+                .params
+                .first()
+                .is_some_and(|p| p.name.as_deref() == Some("self")),
             param_to_return: 0,
             param_to_sink: 0,
             returns_taint: None,
             returns_hashy: false,
             returns_unit: None,
+            sim_writes: BTreeSet::new(),
+            sim_statics: BTreeSet::new(),
         }
     }
 
-    /// Union of two same-name definitions (or of an old and a recomputed
-    /// iterate): the merge only grows, which is what makes the SCC
-    /// fixpoint terminate.
-    fn merge(self, other: FnSummary) -> FnSummary {
-        FnSummary {
-            arity: self.arity,
-            has_self: self.has_self || other.has_self,
-            param_to_return: self.param_to_return | other.param_to_return,
-            param_to_sink: self.param_to_sink | other.param_to_sink,
-            returns_taint: self.returns_taint.or(other.returns_taint),
-            returns_hashy: self.returns_hashy || other.returns_hashy,
-            // First-wins keeps the merge monotone; a genuine per-body
-            // disagreement was already resolved to `None` in
-            // `summarize_fn`.
-            returns_unit: self.returns_unit.or(other.returns_unit),
+    /// Joins another same-name definition (or a recomputed iterate) into
+    /// this one. The join only grows — first-seen taint kind and unit
+    /// win — which is what makes the SCC loop terminate; a per-body unit
+    /// disagreement was already resolved to `None` by the walker.
+    fn absorb(&mut self, other: FnSummary) {
+        self.has_self |= other.has_self;
+        self.param_to_return |= other.param_to_return;
+        self.param_to_sink |= other.param_to_sink;
+        self.returns_taint = self.returns_taint.or(other.returns_taint);
+        self.returns_hashy |= other.returns_hashy;
+        self.returns_unit = self.returns_unit.or(other.returns_unit);
+        self.sim_writes.extend(other.sim_writes);
+        self.sim_statics.extend(other.sim_statics);
+    }
+
+    /// Short human rendering of the write-effect set, for findings and
+    /// the golden snapshot test.
+    pub fn describe(&self) -> String {
+        let mut parts: Vec<String> = self
+            .sim_writes
+            .iter()
+            .map(|(i, f)| {
+                if f.is_empty() {
+                    format!("param {i}")
+                } else if *i == 0 && self.has_self {
+                    format!("self.{f}")
+                } else {
+                    format!("param {i}.{f}")
+                }
+            })
+            .collect();
+        parts.extend(self.sim_statics.iter().map(|s| format!("static {s}")));
+        if parts.is_empty() {
+            "pure".to_owned()
+        } else {
+            parts.join(", ")
         }
     }
 }
@@ -101,25 +147,9 @@ pub struct Summaries {
 }
 
 impl Summaries {
-    /// A table with no summaries at all; callers degrade to the
-    /// conservative intra-procedural behavior everywhere.
-    pub fn empty() -> Summaries {
-        Summaries::default()
-    }
-
     /// The summary for `name`, if one exists and is unambiguous.
-    pub fn get(&self, name: &str) -> Option<FnSummary> {
-        self.map.get(name).copied().flatten()
-    }
-
-    /// Number of summarized (non-excluded) names.
-    pub fn len(&self) -> usize {
-        self.map.values().filter(|s| s.is_some()).count()
-    }
-
-    /// `true` if nothing was summarized.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    pub fn get(&self, name: &str) -> Option<&FnSummary> {
+        self.map.get(name).and_then(Option::as_ref)
     }
 
     /// Number of names excluded for conflicting arities. Exclusion is
@@ -129,114 +159,107 @@ impl Summaries {
     pub fn dropped(&self) -> usize {
         self.map.values().filter(|s| s.is_none()).count()
     }
+
+    /// Stable text rendering of every write-effect set, one
+    /// `name: effects` line per function — the golden-snapshot surface.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        for (name, s) in &self.map {
+            match s {
+                Some(s) => out.push_str(&format!("{name}: {}\n", s.describe())),
+                None => out.push_str(&format!("{name}: <conflicting arities>\n")),
+            }
+        }
+        out
+    }
 }
 
 /// Builds summaries for every function defined in `files` (skipping
 /// `#[cfg(test)]` modules, like the symbol table does).
-pub fn build(files: &[(&File, &UnitAnnotations)], symbols: &Symbols) -> Summaries {
-    // 1. Collect definitions: name → [(func, file's annotations)].
-    let mut defs: BTreeMap<String, Vec<(&Func, &UnitAnnotations)>> = BTreeMap::new();
-    for (file, anns) in files {
-        let mut fns = Vec::new();
-        collect_fns(&file.items, &mut fns);
-        for f in fns {
-            defs.entry(f.name.clone()).or_default().push((f, anns));
-        }
+pub fn build(
+    files: &[(&File, &UnitAnnotations)],
+    symbols: &Symbols,
+    model: &StateModel,
+) -> Summaries {
+    // 1. Collect definitions: name → [(impl owner, func, annotations)].
+    type Def<'a> = (Option<&'a str>, &'a Func, &'a UnitAnnotations);
+    let mut defs: BTreeMap<&str, Vec<Def<'_>>> = BTreeMap::new();
+    for &(file, anns) in files {
+        walk_fns(file, &mut |owner, f| {
+            defs.entry(f.name.as_str())
+                .or_default()
+                .push((owner, f, anns));
+        });
     }
 
     // 2. Exclude names whose definitions disagree on arity: a bitmask
-    //    indexed by parameter position is meaningless across them, and
-    //    deciding exclusion *before* the fixpoint keeps it monotone.
+    //    or write slot indexed by parameter position is meaningless
+    //    across them, and deciding exclusion *before* the fixpoint
+    //    keeps it monotone.
     let mut summaries = Summaries::default();
-    let names: Vec<&String> = defs
-        .keys()
-        .filter(|name| {
-            let arities: BTreeSet<usize> =
-                defs[*name].iter().map(|(f, _)| f.params.len()).collect();
-            if arities.len() > 1 {
-                summaries.map.insert((**name).clone(), None);
-                false
-            } else {
-                true
-            }
-        })
-        .collect();
-    let index_of: BTreeMap<&str, usize> = names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.as_str(), i))
-        .collect();
+    defs.retain(|name, fns| {
+        let arities: BTreeSet<usize> = fns.iter().map(|(_, f, _)| f.params.len()).collect();
+        if arities.len() > 1 {
+            summaries.map.insert((*name).to_owned(), None);
+        }
+        arities.len() == 1
+    });
+    let (names, defs): (Vec<&str>, Vec<Vec<Def<'_>>>) = defs.into_iter().unzip();
+    let index_of: BTreeMap<&str, usize> = names.iter().enumerate().map(|(i, n)| (*n, i)).collect();
 
     // 3. Call edges at name granularity: every `name(..)` path call and
     //    `.name(..)` method call inside a body whose name we define.
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); names.len()];
-    for (i, name) in names.iter().enumerate() {
-        let mut callees = BTreeSet::new();
-        for (f, _) in &defs[*name] {
-            let Some(body) = &f.body else { continue };
-            walk_block_exprs(body, &mut |e| {
-                let called = match &e.kind {
-                    ExprKind::Call { callee, .. } => match &callee.kind {
-                        ExprKind::Path(segs) => segs.last().map(String::as_str),
+    let adj: Vec<Vec<usize>> = defs
+        .iter()
+        .map(|fns| {
+            let mut callees = BTreeSet::new();
+            for (_, f, _) in fns {
+                let Some(body) = &f.body else { continue };
+                walk_block_exprs(body, &mut |e| {
+                    let called = match &e.kind {
+                        ExprKind::Call { callee, .. } => match &callee.kind {
+                            ExprKind::Path(segs) => segs.last().map(String::as_str),
+                            _ => None,
+                        },
+                        ExprKind::MethodCall { method, .. } => Some(method.as_str()),
                         _ => None,
-                    },
-                    ExprKind::MethodCall { method, .. } => Some(method.as_str()),
-                    _ => None,
-                };
-                if let Some(c) = called {
-                    if let Some(&j) = index_of.get(c) {
+                    };
+                    if let Some(&j) = called.and_then(|c| index_of.get(c)) {
                         callees.insert(j);
                     }
-                }
-            });
-        }
-        adj[i] = callees.into_iter().collect();
-    }
-
-    // 4. SCC condensation, emitted callees-first by construction.
-    let sccs = tarjan_sccs(&adj);
-
-    // 5. Summarize in reverse topological order; iterate within each
-    //    SCC from the empty summary until stable.
-    for scc in sccs {
-        for &ni in &scc {
-            let (f, _) = defs[names[ni]][0];
-            summaries.map.insert(
-                names[ni].clone(),
-                Some(FnSummary::empty(
-                    f.params.len(),
-                    f.params
-                        .first()
-                        .is_some_and(|p| p.name.as_deref() == Some("self")),
-                )),
-            );
-        }
-        // Bit-masks and flags only grow, so each round either changes a
-        // summary or is the last; the bound is a safety net, not a
-        // budget that real code approaches.
-        for _round in 0..64 {
-            let mut changed = false;
-            for &ni in &scc {
-                let name = names[ni];
-                let mut computed: Option<FnSummary> = None;
-                for (f, anns) in &defs[name] {
-                    let s = summarize_fn(f, symbols, anns, &summaries);
-                    computed = Some(match computed {
-                        Some(m) => m.merge(s),
-                        None => s,
-                    });
-                }
-                let old = summaries.get(name);
-                let new = computed.map(|c| match old {
-                    Some(o) => o.merge(c),
-                    None => c,
                 });
-                if new != old {
+            }
+            callees.into_iter().collect()
+        })
+        .collect();
+
+    // 4. Solve SCCs callees-first; within a cycle, re-walk every member
+    //    until a whole round changes nothing.
+    for scc in tarjan_sccs(&adj) {
+        for &v in &scc {
+            let seed = FnSummary::empty(defs[v][0].1);
+            summaries.map.insert(names[v].to_owned(), Some(seed));
+        }
+        let cyclic = scc.len() > 1 || adj[scc[0]].contains(&scc[0]);
+        loop {
+            let mut changed = false;
+            for &v in &scc {
+                let mut next = summaries.get(names[v]).cloned().expect("seeded above");
+                for &(owner, f, anns) in &defs[v] {
+                    let ctx = Ctx {
+                        symbols,
+                        anns,
+                        model,
+                        summaries: &summaries,
+                    };
+                    next.absorb(summarize_fn(f, owner, ctx));
+                }
+                if summaries.get(names[v]) != Some(&next) {
                     changed = true;
-                    summaries.map.insert(name.clone(), new);
+                    summaries.map.insert(names[v].to_owned(), Some(next));
                 }
             }
-            if !changed {
+            if !changed || !cyclic {
                 break;
             }
         }
@@ -244,24 +267,10 @@ pub fn build(files: &[(&File, &UnitAnnotations)], symbols: &Symbols) -> Summarie
     summaries
 }
 
-/// Collects every function definition outside `#[cfg(test)]` modules.
-fn collect_fns<'a>(items: &'a [Item], out: &mut Vec<&'a Func>) {
-    for item in items {
-        match &item.kind {
-            ItemKind::Fn(f) => out.push(f),
-            ItemKind::Impl(imp) => collect_fns(&imp.items, out),
-            ItemKind::Mod(m) if !m.cfg_test => collect_fns(&m.items, out),
-            _ => {}
-        }
-    }
-}
-
 /// Iterative Tarjan: returns SCCs in reverse topological order of the
 /// condensation (every SCC appears after all SCCs it calls into have
 /// been emitted), which is exactly the summarization order we need.
-/// Shared with the write-effect engine (`effects.rs`), which runs the
-/// same bottom-up fixpoint over its own per-function summaries.
-pub(crate) fn tarjan_sccs(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
+fn tarjan_sccs(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
     let n = adj.len();
     let mut index: Vec<Option<u32>> = vec![None; n];
     let mut low: Vec<u32> = vec![0; n];
@@ -321,7 +330,7 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
     use crate::parser::parse_file;
-    use crate::symbols::parse_unit_annotations;
+    use crate::symbols::{parse_state_annotations, parse_unit_annotations};
 
     fn summarize(src: &str) -> Summaries {
         let toks = lex(src);
@@ -330,7 +339,8 @@ mod tests {
         let (anns, bad) = parse_unit_annotations(&toks);
         assert!(bad.is_empty(), "{bad:?}");
         let symbols = Symbols::build(&[(&file, &anns)]);
-        build(&[(&file, &anns)], &symbols)
+        let model = StateModel::build(&[(&file, &parse_state_annotations(&toks).0)]);
+        build(&[(&file, &anns)], &symbols, &model)
     }
 
     #[test]
@@ -381,6 +391,35 @@ mod tests {
     }
 
     #[test]
+    fn long_cycles_converge_without_a_round_cap() {
+        // A 100-function bidirectional chain is one SCC in which facts
+        // move one hop per round; only `a000` writes `g.depth` and
+        // returns its parameter. A capped loop (64 rounds) left the far
+        // end of the chain `pure` and without the param→return bit.
+        let mut src = String::from("pub struct Gauge { pub depth: u64 }\n");
+        for i in 0..100 {
+            let body = match i {
+                0 => "g.depth += 1; if v > 0 { a001(g, v) } else { v }".to_owned(),
+                99 => "a098(g, v)".to_owned(),
+                _ => format!(
+                    "if v > 0 {{ a{:03}(g, v) }} else {{ a{:03}(g, v) }}",
+                    i - 1,
+                    i + 1
+                ),
+            };
+            src.push_str(&format!(
+                "pub fn a{i:03}(g: &mut Gauge, v: u64) -> u64 {{ {body} }}\n"
+            ));
+        }
+        let s = summarize(&src);
+        for i in 0..100 {
+            let sum = s.get(&format!("a{i:03}")).unwrap();
+            assert_eq!(sum.describe(), "param 0.depth", "a{i:03}");
+            assert_eq!(sum.param_to_return, 0b10, "a{i:03}");
+        }
+    }
+
+    #[test]
     fn conflicting_arities_are_excluded_and_counted() {
         let s = summarize(
             "pub fn f(a: u64) -> u64 { a }\n\
@@ -399,7 +438,10 @@ mod tests {
              pub fn suffixed_ms() -> u64 { 50 }\n\
              pub fn unitless(v: u64) -> u64 { v }",
         );
-        assert_eq!(s.get("current_window").unwrap().returns_unit, Some(Unit::Ms));
+        assert_eq!(
+            s.get("current_window").unwrap().returns_unit,
+            Some(Unit::Ms)
+        );
         assert_eq!(s.get("unitless").unwrap().returns_unit, None);
     }
 

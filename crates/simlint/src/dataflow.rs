@@ -1,7 +1,8 @@
-//! Dataflow: nondeterminism taint, time units, and shard safety.
+//! The body walker: nondeterminism taint, time units, shard safety and
+//! write effects, in one forward pass per function body.
 //!
-//! A single forward walk over each function body maintains a scope
-//! stack of per-binding [`Facts`]:
+//! The walk maintains one scope stack whose bindings carry both the
+//! value's [`Facts`] and the write [`Origin`] of what it points into:
 //!
 //! * **taint** — the value (transitively) originates from a
 //!   nondeterministic source: hash-collection iteration, `Instant`/
@@ -20,19 +21,26 @@
 //! * **shard safety** — values that cross a thread boundary. A tainted
 //!   or hash-ordered binding captured by a closure passed to
 //!   `thread::scope`/`spawn`/`par_runs`, or sent through a channel, is
-//!   a `shard-cross-thread` finding; a value received from a channel
-//!   carries a *completion-order* fact, and aggregating it by arrival
+//!   a `shard-cross-thread` finding, and so is such a closure *writing*
+//!   a captured binding; a value received from a channel carries a
+//!   *completion-order* fact, and aggregating it by arrival
 //!   (`.push`/`.extend`) instead of by index is a `shard-order-agg`
 //!   finding.
+//! * **write effects** — which parameters and statics the body may
+//!   write sim state through. The write half of the walker (lvalue
+//!   resolution, sim-vs-observer classification, observation gates,
+//!   the frozen-config tracker) lives in `effects.rs`.
 //!
-//! The analysis is interprocedural: call sites consult the per-function
-//! [`FnSummary`] table built by `callgraph.rs`, so a taint laundered
-//! through helper calls still reaches its sink, and a helper whose body
-//! schedules its argument turns every call site into a sink. The same
-//! walker runs in a second, *summarize* mode (no findings, `collect`
-//! set) to produce those summaries: parameters are seeded with one bit
-//! each, and the bits surviving to `return` / sink positions become the
-//! summary masks.
+//! The walker runs in two modes. In *summarize* mode — inside the
+//! solver in `callgraph.rs` — it reports nothing: parameters are seeded
+//! with one bit each, and the bits surviving to `return` / sink
+//! positions, the return unit and the sim writes become the function's
+//! [`FnSummary`]. In *check* mode — from `rules::check_ast` — it
+//! reports, consulting the summaries at call sites: a taint laundered
+//! through helper calls still reaches its sink, a helper whose body
+//! schedules its argument turns every call site into a sink, and an
+//! observation-gated call to a helper that writes sim state is an
+//! `observer-purity` finding.
 //!
 //! The analysis stays deliberately conservative in the other direction:
 //! one pass per body, branch facts don't merge back, and unknown calls
@@ -45,20 +53,16 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ast::{Block, Expr, ExprKind, Func, Lit, StmtKind};
 use crate::callgraph::{FnSummary, Summaries};
+use crate::effects::{Origin, StateModel, SHARD_CROSS_THREAD};
+use crate::report::Finding;
 use crate::symbols::{declared_unit, unit_from_name, Symbols, Unit, UnitAnnotations, HASH_TYPES};
 
-/// Which rule family a flow finding belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlowRule {
-    /// `nondet-taint`.
-    Taint,
-    /// `time-unit`.
-    Unit,
-    /// `shard-cross-thread`.
-    CrossThread,
-    /// `shard-order-agg`.
-    OrderAgg,
-}
+/// Rule name for nondeterminism reaching event scheduling.
+pub const NONDET_TAINT: &str = "nondet-taint";
+/// Rule name for time-unit mismatches.
+pub const TIME_UNIT: &str = "time-unit";
+/// Rule name for completion-order aggregation of fan-out results.
+pub const SHARD_ORDER_AGG: &str = "shard-order-agg";
 
 /// Which finding families a given file gets reports for. Tracking
 /// always runs in full; only *reporting* is gated, so e.g. taint facts
@@ -94,36 +98,6 @@ impl FlowFamilies {
             shard: true,
         }
     }
-
-    fn none() -> FlowFamilies {
-        FlowFamilies {
-            taint: false,
-            unit: false,
-            shard: false,
-        }
-    }
-
-    fn enables(self, rule: FlowRule) -> bool {
-        match rule {
-            FlowRule::Taint => self.taint,
-            FlowRule::Unit => self.unit,
-            FlowRule::CrossThread | FlowRule::OrderAgg => self.shard,
-        }
-    }
-}
-
-/// One raw dataflow finding (rule name resolution happens in
-/// `rules.rs`).
-#[derive(Debug)]
-pub struct FlowFinding {
-    /// Rule family.
-    pub rule: FlowRule,
-    /// 1-based line.
-    pub line: u32,
-    /// 1-based column.
-    pub col: u32,
-    /// Message.
-    pub message: String,
 }
 
 /// What kind of nondeterminism a taint originates from.
@@ -156,14 +130,14 @@ struct Taint {
 
 /// Abstract value carried by an expression or binding.
 #[derive(Debug, Clone, Copy, Default)]
-struct Facts {
+pub(crate) struct Facts {
     taint: Option<Taint>,
     unit: Option<Unit>,
     /// The value is (or contains) a hash-ordered collection.
     hashy: bool,
     /// Bitmask of enclosing-function parameters this value depends on
-    /// (summarize mode seeds param *i* with bit *i*; report mode keeps
-    /// the bits flowing so summaries compose, but never reports them).
+    /// (param *i* is seeded with bit *i*; check mode keeps the bits
+    /// flowing so summaries compose, but never reports them).
     params: u32,
     /// The value was received from a channel, so its identity depends
     /// on cross-thread completion order.
@@ -238,7 +212,7 @@ const UNIT_PRESERVING: [&str; 12] = [
 const SINK_METHODS: [&str; 4] = ["schedule", "schedule_at", "push", "push_at"];
 
 /// Functions/methods whose closure argument runs on another thread.
-pub const CROSS_THREAD_FNS: [&str; 3] = ["spawn", "scope", "par_runs"];
+const CROSS_THREAD_FNS: [&str; 3] = ["spawn", "scope", "par_runs"];
 
 /// Channel receives: the value's identity depends on completion order.
 const RECV_METHODS: [&str; 3] = ["recv", "try_recv", "recv_timeout"];
@@ -247,130 +221,185 @@ const RECV_METHODS: [&str; 3] = ["recv", "try_recv", "recv_timeout"];
 /// completion-ordered value makes the aggregate order-sensitive.
 const AGG_METHODS: [&str; 5] = ["push", "extend", "insert", "push_back", "append"];
 
-/// Analyzes one function body, appending flow findings to `out`.
-pub fn analyze_fn(
-    func: &Func,
-    symbols: &Symbols,
-    anns: &UnitAnnotations,
-    summaries: &Summaries,
-    families: FlowFamilies,
-    out: &mut Vec<FlowFinding>,
-) {
-    let Some(body) = &func.body else {
-        return;
-    };
-    let mut a = Analysis {
-        symbols,
-        anns,
-        summaries,
-        scopes: vec![BTreeMap::new()],
-        out,
-        families,
-        collect: None,
-        boundaries: Vec::new(),
-        next_boundary: 0,
-        reported_captures: BTreeSet::new(),
-    };
-    a.bind_params(func);
-    a.run_block(body);
+/// Workspace-wide inputs a body walk reads.
+#[derive(Debug, Clone, Copy)]
+pub struct Ctx<'a> {
+    /// Cross-file symbol facts (units, hash-returning functions).
+    pub symbols: &'a Symbols,
+    /// The unit annotations of the file the body lives in.
+    pub anns: &'a UnitAnnotations,
+    /// The sim-vs-observer state classification.
+    pub model: &'a StateModel,
+    /// Callee summaries (partial while the solver is running).
+    pub summaries: &'a Summaries,
 }
 
-/// Computes one function's [`FnSummary`] by running the same walker in
-/// summarize mode: no findings, parameters seeded with one bit each,
-/// return/sink positions recorded.
-pub fn summarize_fn(
-    func: &Func,
-    symbols: &Symbols,
-    anns: &UnitAnnotations,
-    summaries: &Summaries,
-) -> FnSummary {
-    let mut sink = Vec::new();
-    let mut a = Analysis {
-        symbols,
-        anns,
-        summaries,
-        scopes: vec![BTreeMap::new()],
-        out: &mut sink,
-        families: FlowFamilies::none(),
-        collect: Some(SummaryCollect::default()),
-        boundaries: Vec::new(),
-        next_boundary: 0,
-        reported_captures: BTreeSet::new(),
-    };
-    a.bind_params(func);
+/// Computes one function's [`FnSummary`]: the walker in summarize mode
+/// (no findings, the trailing expression counted as a return).
+pub fn summarize_fn(func: &Func, owner: Option<&str>, ctx: Ctx<'_>) -> FnSummary {
+    let mut w = Walker::new(func, owner, ctx, None);
     if let Some(body) = &func.body {
-        let trailing = a.run_block(body);
-        a.record_return(trailing);
+        let trailing = w.run_block(body);
+        w.record_return(trailing);
     }
-    let c = a.collect.take().unwrap_or_default();
-    FnSummary {
-        arity: func.params.len(),
-        has_self: func
-            .params
-            .first()
-            .is_some_and(|p| p.name.as_deref() == Some("self")),
-        param_to_return: c.param_to_return,
-        param_to_sink: c.param_to_sink,
-        returns_taint: c.returns_taint,
-        returns_hashy: c.returns_hashy,
-        returns_unit: c.returns_unit,
-    }
+    w.summary
 }
 
-/// Accumulator for summarize mode.
-#[derive(Debug, Default)]
-struct SummaryCollect {
-    param_to_return: u32,
-    param_to_sink: u32,
-    returns_taint: Option<TaintKind>,
-    returns_hashy: bool,
-    /// Declared unit of returned values; poisoned (stays `None` via
-    /// `returns_unit_conflict`) when two return paths disagree.
-    returns_unit: Option<Unit>,
-    returns_unit_conflict: bool,
-}
-
-struct Analysis<'a> {
-    symbols: &'a Symbols,
-    anns: &'a UnitAnnotations,
-    summaries: &'a Summaries,
-    scopes: Vec<BTreeMap<String, Facts>>,
-    out: &'a mut Vec<FlowFinding>,
+/// Checks one function body, returning its findings attributed to
+/// `path`. `families` gates the flow rules; `sim` (sim-crate library
+/// code) enables `observer-purity`, `frozen-config` and the static-write
+/// upgrade of `shard-shared-state`.
+pub fn check_fn(
+    func: &Func,
+    owner: Option<&str>,
+    ctx: Ctx<'_>,
     families: FlowFamilies,
-    /// `Some` in summarize mode.
-    collect: Option<SummaryCollect>,
+    sim: bool,
+    path: &str,
+) -> Vec<Finding> {
+    let Some(body) = &func.body else {
+        return Vec::new();
+    };
+    let check = Check {
+        path,
+        families,
+        sim,
+        gate_depth: 0,
+        cfg_bindings: BTreeMap::new(),
+        reported_captures: BTreeSet::new(),
+        reported_writes: BTreeSet::new(),
+        findings: Vec::new(),
+    };
+    let mut w = Walker::new(func, owner, ctx, Some(check));
+    w.run_block(body);
+    w.check.map(|c| c.findings).unwrap_or_default()
+}
+
+/// Check-mode state: what reports, and per-body bookkeeping.
+pub(crate) struct Check<'a> {
+    path: &'a str,
+    families: FlowFamilies,
+    sim: bool,
+    /// Observation-gate nesting depth; > 0 means this code only runs
+    /// when tracing/metrics/profiling is enabled.
+    pub(crate) gate_depth: u32,
+    /// `SystemConfig` bindings in this body → frozen (validate seen)?
+    pub(crate) cfg_bindings: BTreeMap<String, bool>,
+    /// (boundary id, name) pairs already reported, so one captured
+    /// binding used five times yields one finding.
+    reported_captures: BTreeSet<(usize, String)>,
+    /// `(line, col, rule)` write findings already reported.
+    reported_writes: BTreeSet<(u32, u32, &'static str)>,
+    findings: Vec<Finding>,
+}
+
+impl Check<'_> {
+    fn enables(&self, rule: &str) -> bool {
+        match rule {
+            NONDET_TAINT => self.families.taint,
+            TIME_UNIT => self.families.unit,
+            SHARD_CROSS_THREAD | SHARD_ORDER_AGG => self.families.shard,
+            // The write rules: observer-purity, frozen-config and the
+            // static-write upgrade of shard-shared-state.
+            _ => self.sim,
+        }
+    }
+}
+
+/// One binding on the walker's scope stack.
+#[derive(Debug, Clone)]
+struct Binding {
+    facts: Facts,
+    /// Where writes through the binding land. `None` marks a flow-only
+    /// binding — a tracked assignment target, or an `if let` name
+    /// outliving its block — that write resolution looks through.
+    origin: Option<Origin>,
+}
+
+/// The one walker over function bodies (see the module docs).
+pub(crate) struct Walker<'a> {
+    pub(crate) ctx: Ctx<'a>,
+    pub(crate) owner: Option<&'a str>,
+    /// Per parameter: its declared type mentions an observer type (or
+    /// it is `self` of an observer impl), so writes through it are
+    /// observer-class regardless of field.
+    pub(crate) param_observer: Vec<bool>,
+    scopes: Vec<BTreeMap<String, Binding>>,
     /// Active thread-crossing closures: (scope depth at entry, id).
     /// A binding resolved from a scope *below* the entry depth was
     /// captured across the thread boundary.
     boundaries: Vec<(usize, usize)>,
     next_boundary: usize,
-    /// (boundary id, name) pairs already reported, so one captured
-    /// binding used five times yields one finding.
-    reported_captures: BTreeSet<(usize, String)>,
+    /// The summary accumulated so far (kept in both modes).
+    pub(crate) summary: FnSummary,
+    /// Two return paths disagreed on their unit, so `returns_unit`
+    /// stays `None`.
+    returns_unit_conflict: bool,
+    /// `Some` in check mode.
+    pub(crate) check: Option<Check<'a>>,
 }
 
-impl Analysis<'_> {
-    fn bind_params(&mut self, func: &Func) {
+impl<'a> Walker<'a> {
+    fn new(
+        func: &Func,
+        owner: Option<&'a str>,
+        ctx: Ctx<'a>,
+        mut check: Option<Check<'a>>,
+    ) -> Walker<'a> {
+        let owner_observer = owner.is_some_and(|o| ctx.model.is_observer_type(o));
+        if let Some(c) = check.as_mut() {
+            // Everything inside an observer impl only runs in service
+            // of observation: the whole body is gated.
+            c.gate_depth = u32::from(owner_observer);
+        }
+        let param_observer = func
+            .params
+            .iter()
+            .map(|p| {
+                let ty = p.ty.as_ref();
+                (owner_observer && p.name.as_deref() == Some("self"))
+                    || ty.is_some_and(|t| t.idents.iter().any(|i| ctx.model.is_observer_type(i)))
+            })
+            .collect();
+        let mut w = Walker {
+            ctx,
+            owner,
+            param_observer,
+            scopes: vec![BTreeMap::new()],
+            boundaries: Vec::new(),
+            next_boundary: 0,
+            summary: FnSummary::empty(func),
+            returns_unit_conflict: false,
+            check,
+        };
         for (i, p) in func.params.iter().enumerate() {
             let Some(name) = &p.name else { continue };
             let facts = Facts {
-                unit: declared_unit(name, p.line, self.anns),
+                unit: declared_unit(name, p.line, ctx.anns),
                 hashy: p.ty.as_ref().is_some_and(|t| t.mentions(&HASH_TYPES)),
                 params: 1u32 << i.min(31),
                 ..Facts::default()
             };
-            self.bind(name.clone(), facts);
+            w.bind(
+                name.clone(),
+                facts,
+                Some(Origin::Param {
+                    idx: i,
+                    field: None,
+                }),
+            );
         }
+        w
     }
 
-    fn bind(&mut self, name: String, facts: Facts) {
+    fn bind(&mut self, name: String, facts: Facts, origin: Option<Origin>) {
         if let Some(top) = self.scopes.last_mut() {
-            top.insert(name, facts);
+            top.insert(name, Binding { facts, origin });
         }
     }
 
     fn lookup(&self, name: &str) -> Option<Facts> {
-        self.scopes.iter().rev().find_map(|s| s.get(name)).copied()
+        self.lookup_depth(name).map(|(_, f)| f)
     }
 
     /// Like [`lookup`](Self::lookup), also reporting which scope depth
@@ -380,55 +409,99 @@ impl Analysis<'_> {
             .iter()
             .enumerate()
             .rev()
-            .find_map(|(d, s)| s.get(name).map(|f| (d, *f)))
+            .find_map(|(d, s)| s.get(name).map(|b| (d, b.facts)))
     }
 
-    fn report(&mut self, rule: FlowRule, line: u32, col: u32, message: String) {
-        if !self.families.enables(rule) {
-            return;
+    /// The write origin of `name` and the depth of its binding,
+    /// looking through flow-only bindings.
+    pub(crate) fn resolve(&self, name: &str) -> Option<(usize, Origin)> {
+        self.scopes.iter().enumerate().rev().find_map(|(d, s)| {
+            let origin = s.get(name)?.origin.clone()?;
+            Some((d, origin))
+        })
+    }
+
+    /// The innermost thread-crossing closure a binding at `depth` was
+    /// captured across, if any.
+    pub(crate) fn crossing(&self, depth: usize) -> Option<usize> {
+        self.boundaries
+            .last()
+            .filter(|(bd, _)| depth < *bd)
+            .map(|&(_, id)| id)
+    }
+
+    fn report(&mut self, rule: &'static str, at: &Expr, message: String) {
+        if let Some(c) = self.check.as_mut() {
+            if c.enables(rule) {
+                c.findings.push(Finding {
+                    rule,
+                    path: c.path.to_owned(),
+                    line: at.span.line,
+                    col: at.span.col,
+                    message,
+                    fingerprint: 0,
+                });
+            }
         }
-        self.out.push(FlowFinding {
-            rule,
-            line,
-            col,
-            message,
-        });
+    }
+
+    /// [`report`](Self::report), at most once per `(line, col, rule)`.
+    pub(crate) fn report_once(&mut self, rule: &'static str, at: &Expr, message: String) {
+        let fresh = self
+            .check
+            .as_mut()
+            .is_some_and(|c| c.reported_writes.insert((at.span.line, at.span.col, rule)));
+        if fresh {
+            self.report(rule, at, message);
+        }
+    }
+
+    /// Code under an observation gate in sim-crate library code.
+    pub(crate) fn gated(&self) -> bool {
+        self.check
+            .as_ref()
+            .is_some_and(|c| c.sim && c.gate_depth > 0)
     }
 
     fn record_return(&mut self, f: Facts) {
-        if let Some(c) = self.collect.as_mut() {
-            c.param_to_return |= f.params;
-            if c.returns_taint.is_none() {
-                c.returns_taint = f.taint.map(|t| t.kind);
-            }
-            c.returns_hashy |= f.hashy;
-            // A unit-carrying return path sets the unit once; a second
-            // path with a *different* unit poisons the inference (the
-            // helper has no single unit to report).
-            if let Some(u) = f.unit {
-                match c.returns_unit {
-                    None if !c.returns_unit_conflict => c.returns_unit = Some(u),
-                    Some(prev) if prev != u => {
-                        c.returns_unit = None;
-                        c.returns_unit_conflict = true;
-                    }
-                    _ => {}
+        let s = &mut self.summary;
+        s.param_to_return |= f.params;
+        if s.returns_taint.is_none() {
+            s.returns_taint = f.taint.map(|t| t.kind);
+        }
+        s.returns_hashy |= f.hashy;
+        // A unit-carrying return path sets the unit once; a second
+        // path with a *different* unit poisons the inference (the
+        // helper has no single unit to report).
+        if let Some(u) = f.unit {
+            match s.returns_unit {
+                None if !self.returns_unit_conflict => s.returns_unit = Some(u),
+                Some(prev) if prev != u => {
+                    s.returns_unit = None;
+                    self.returns_unit_conflict = true;
                 }
+                _ => {}
             }
         }
     }
 
-    /// A value arrived at a scheduling sink: report its taint and, in
-    /// summarize mode, record which parameters reach the sink.
+    /// A value arrived at a scheduling sink: report its taint and
+    /// record which parameters reach the sink.
     fn sink_arg(&mut self, arg: &Expr, f: Facts, sink: &str) {
         if let Some(t) = f.taint {
-            self.taint_into_sink(arg, t, sink);
+            self.report(
+                NONDET_TAINT,
+                arg,
+                format!(
+                    "nondeterministic value ({} from line {}) flows into {}; \
+                     event order must be a pure function of (config, seed)",
+                    t.kind.label(),
+                    t.origin_line,
+                    sink
+                ),
+            );
         }
-        if f.params != 0 {
-            if let Some(c) = self.collect.as_mut() {
-                c.param_to_sink |= f.params;
-            }
-        }
+        self.summary.param_to_sink |= f.params;
     }
 
     fn unit_mismatch(&mut self, e: &Expr, got: Unit, want: Unit, context: &str) {
@@ -436,30 +509,14 @@ impl Analysis<'_> {
             return;
         }
         self.report(
-            FlowRule::Unit,
-            e.span.line,
-            e.span.col,
+            TIME_UNIT,
+            e,
             format!(
                 "time-unit mismatch: {} carries {} but {} expects {}",
                 describe(e),
                 got.label(),
                 context,
                 want.label()
-            ),
-        );
-    }
-
-    fn taint_into_sink(&mut self, e: &Expr, taint: Taint, sink: &str) {
-        self.report(
-            FlowRule::Taint,
-            e.span.line,
-            e.span.col,
-            format!(
-                "nondeterministic value ({} from line {}) flows into {}; \
-                 event order must be a pure function of (config, seed)",
-                taint.kind.label(),
-                taint.origin_line,
-                sink
             ),
         );
     }
@@ -472,9 +529,8 @@ impl Analysis<'_> {
             None => return,
         };
         self.report(
-            FlowRule::CrossThread,
-            e.span.line,
-            e.span.col,
+            SHARD_CROSS_THREAD,
+            e,
             format!(
                 "nondeterministic value ({what}) {how}; \
                  values crossing threads must be pure functions of (config, seed)"
@@ -495,29 +551,27 @@ impl Analysis<'_> {
                     let ty_hashy = ty.as_ref().is_some_and(|t| t.mentions(&HASH_TYPES));
                     if names.len() == 1 {
                         let name = &names[0];
-                        let declared = declared_unit(name, stmt.span.line, self.anns);
+                        let declared = declared_unit(name, stmt.span.line, self.ctx.anns);
                         if let (Some(want), Some(got), Some(e)) =
                             (declared, init_facts.unit, init.as_ref())
                         {
                             self.unit_mismatch(e, got, want, &format!("`{name}`"));
                         }
-                        self.bind(
-                            name.clone(),
-                            Facts {
-                                unit: declared.or(init_facts.unit),
-                                hashy: init_facts.hashy || ty_hashy,
-                                ..init_facts
-                            },
-                        );
+                        self.track_config_binding(name, ty.as_ref(), init.as_ref());
+                        let origin = init.as_ref().map_or(Origin::Local, |e| self.let_origin(e));
+                        let facts = Facts {
+                            unit: declared.or(init_facts.unit),
+                            hashy: init_facts.hashy || ty_hashy,
+                            ..init_facts
+                        };
+                        self.bind(name.clone(), facts, Some(origin));
                     } else {
                         for name in names {
-                            self.bind(
-                                name.clone(),
-                                Facts {
-                                    unit: unit_from_name(name),
-                                    ..init_facts
-                                },
-                            );
+                            let facts = Facts {
+                                unit: unit_from_name(name),
+                                ..init_facts
+                            };
+                            self.bind(name.clone(), facts, Some(Origin::Local));
                         }
                     }
                 }
@@ -527,6 +581,17 @@ impl Analysis<'_> {
         }
         self.scopes.pop();
         last
+    }
+
+    /// Binds the names an `if let` / `while let` condition introduces,
+    /// with the facts its evaluation gave them and their write origin.
+    fn bind_cond(&mut self, cond: &Expr) {
+        let mut bound = Vec::new();
+        self.cond_bindings(cond, &mut bound);
+        for (name, origin) in bound {
+            let facts = self.lookup(&name).unwrap_or_default();
+            self.bind(name, facts, Some(origin));
+        }
     }
 
     fn eval(&mut self, e: &Expr) -> Facts {
@@ -545,7 +610,7 @@ impl Analysis<'_> {
                 Facts {
                     taint: r.taint,
                     unit: unit_from_name(name),
-                    hashy: self.symbols.hash_fields.contains(name),
+                    hashy: self.ctx.symbols.hash_fields.contains(name),
                     params: r.params,
                     completion: r.completion,
                     channel: false,
@@ -577,9 +642,8 @@ impl Analysis<'_> {
                                 "comparison"
                             };
                             self.report(
-                                FlowRule::Unit,
-                                e.span.line,
-                                e.span.col,
+                                TIME_UNIT,
+                                e,
                                 format!(
                                     "time-unit mismatch: {what} mixes {} ({}) and {} ({})",
                                     describe(lhs),
@@ -616,17 +680,20 @@ impl Analysis<'_> {
                         self.unit_mismatch(rhs, got, want, &format!("`{name}`"));
                     }
                 }
-                if let Some(key) = lvalue_key(lhs) {
-                    let declared = target_name.as_deref().and_then(unit_from_name);
-                    self.bind(
-                        key,
-                        Facts {
-                            unit: declared.or(r.unit),
-                            ..r
-                        },
-                    );
-                } else {
+                let key = lvalue_key(lhs);
+                if key.is_none() {
+                    // An untracked target still reads its receiver and
+                    // index expressions.
                     self.eval(lhs);
+                }
+                self.assign_writes(lhs);
+                if let Some(key) = key {
+                    let declared = target_name.as_deref().and_then(unit_from_name);
+                    let facts = Facts {
+                        unit: declared.or(r.unit),
+                        ..r
+                    };
+                    self.bind(key, facts, None);
                 }
                 Facts::default()
             }
@@ -680,20 +747,26 @@ impl Analysis<'_> {
             ExprKind::Block(b) => self.run_block(b),
             ExprKind::If { cond, then, els } => {
                 self.eval(cond);
+                let gate = self.enter_gate(cond);
+                // `if let` names stay visible to the flow facts after
+                // the `if` (they were bound into the enclosing scope by
+                // `eval(cond)`); their write origin is scoped to `then`.
+                self.scopes.push(BTreeMap::new());
+                self.bind_cond(cond);
                 let t = self.run_block(then);
+                self.scopes.pop();
+                self.exit_gate(gate);
                 let f = els.as_ref().map(|e| self.eval(e)).unwrap_or_default();
                 t.join(f)
             }
             ExprKind::LetCond { names, expr } => {
                 let f = self.eval(expr);
                 for n in names {
-                    self.bind(
-                        n.clone(),
-                        Facts {
-                            unit: unit_from_name(n).or(f.unit),
-                            ..f
-                        },
-                    );
+                    let facts = Facts {
+                        unit: unit_from_name(n).or(f.unit),
+                        ..f
+                    };
+                    self.bind(n.clone(), facts, None);
                 }
                 f
             }
@@ -704,7 +777,7 @@ impl Analysis<'_> {
                     self.scopes.push(BTreeMap::new());
                     for n in arm.pat.bound_names() {
                         let unit = unit_from_name(&n).or(s.unit);
-                        self.bind(n, Facts { unit, ..s });
+                        self.bind(n, Facts { unit, ..s }, Some(Origin::Local));
                     }
                     if let Some(g) = &arm.guard {
                         self.eval(g);
@@ -728,16 +801,14 @@ impl Analysis<'_> {
                 // completion order.
                 let completion = it.completion || it.channel;
                 for n in names {
-                    self.bind(
-                        n.clone(),
-                        Facts {
-                            taint,
-                            unit: unit_from_name(n),
-                            params: it.params,
-                            completion,
-                            ..Facts::default()
-                        },
-                    );
+                    let facts = Facts {
+                        taint,
+                        unit: unit_from_name(n),
+                        params: it.params,
+                        completion,
+                        ..Facts::default()
+                    };
+                    self.bind(n.clone(), facts, Some(Origin::Local));
                 }
                 self.run_block(body);
                 self.scopes.pop();
@@ -746,6 +817,7 @@ impl Analysis<'_> {
             ExprKind::While { cond, body } => {
                 self.scopes.push(BTreeMap::new());
                 self.eval(cond);
+                self.bind_cond(cond);
                 self.run_block(body);
                 self.scopes.pop();
                 Facts::default()
@@ -758,12 +830,7 @@ impl Analysis<'_> {
             ExprKind::Range { lo, hi } => {
                 let mut taint = None;
                 let mut params = 0u32;
-                if let Some(e) = lo {
-                    let f = self.eval(e);
-                    taint = taint.or(f.taint);
-                    params |= f.params;
-                }
-                if let Some(e) = hi {
+                for e in [lo, hi].into_iter().flatten() {
                     let f = self.eval(e);
                     taint = taint.or(f.taint);
                     params |= f.params;
@@ -796,14 +863,11 @@ impl Analysis<'_> {
         }
         self.scopes.push(BTreeMap::new());
         for p in params {
-            let unit = unit_from_name(p);
-            self.bind(
-                p.clone(),
-                Facts {
-                    unit,
-                    ..Facts::default()
-                },
-            );
+            let facts = Facts {
+                unit: unit_from_name(p),
+                ..Facts::default()
+            };
+            self.bind(p.clone(), facts, Some(Origin::Local));
         }
         let f = self.eval(body);
         self.scopes.pop();
@@ -829,6 +893,7 @@ impl Analysis<'_> {
         let last = segs.last().map(String::as_str).unwrap_or("");
         // A const reference: unit from the symbol table or its name.
         let unit = self
+            .ctx
             .symbols
             .const_units
             .get(last)
@@ -846,17 +911,20 @@ impl Analysis<'_> {
         if f.taint.is_none() && !f.hashy {
             return;
         }
-        let Some(&(_, id)) = self.boundaries.iter().rev().find(|(bd, _)| depth < *bd) else {
+        let Some(id) = self.crossing(depth) else {
             return;
         };
-        if !self.reported_captures.insert((id, name.to_owned())) {
-            return;
+        let fresh = self
+            .check
+            .as_mut()
+            .is_some_and(|c| c.reported_captures.insert((id, name.to_owned())));
+        if fresh {
+            self.cross_thread(
+                e,
+                f,
+                &format!("is captured (as `{name}`) by a closure that crosses a thread boundary"),
+            );
         }
-        self.cross_thread(
-            e,
-            f,
-            &format!("is captured (as `{name}`) by a closure that crosses a thread boundary"),
-        );
     }
 
     /// Evaluates call/method arguments, opening a capture boundary
@@ -880,26 +948,22 @@ impl Analysis<'_> {
             .collect()
     }
 
-    /// Applies a callee's [`FnSummary`] at a call site: arguments whose
+    /// Applies a callee's summary flows at a call site: arguments whose
     /// summary bit reaches a sink are sinks *here*, and arguments whose
     /// bit reaches the return value flow into the result facts.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_summary(
+    fn apply_flows(
         &mut self,
         e: &Expr,
-        s: FnSummary,
-        recv: Option<(&Expr, Facts)>,
-        args: &[Expr],
-        arg_facts: &[Facts],
-        offset: usize,
         name: &str,
+        s: &FnSummary,
+        slots: &[(usize, &Expr, Facts)],
     ) -> Facts {
         let mut res = Facts {
             taint: s.returns_taint.map(|kind| Taint {
                 kind,
                 origin_line: e.span.line,
             }),
-            hashy: s.returns_hashy || self.symbols.hash_fns.contains(name),
+            hashy: s.returns_hashy || self.ctx.symbols.hash_fns.contains(name),
             // A unit suffix on the callee's own name wins; otherwise the
             // summarized unit of its return paths flows out, so a `_ms`
             // value laundered through a suffix-less helper still reaches
@@ -907,14 +971,7 @@ impl Analysis<'_> {
             unit: unit_from_name(name).or(s.returns_unit),
             ..Facts::default()
         };
-        let mut slots: Vec<(usize, &Expr, Facts)> = Vec::new();
-        if let Some((recv_e, recv_f)) = recv {
-            slots.push((0, recv_e, recv_f));
-        }
-        for (i, (arg, f)) in args.iter().zip(arg_facts).enumerate() {
-            slots.push((i + offset, arg, *f));
-        }
-        for (idx, arg, f) in slots {
+        for &(idx, arg, f) in slots {
             let bit = 1u32 << idx.min(31);
             if s.param_to_sink & bit != 0 {
                 self.sink_arg(arg, f, &format!("`{name}` (whose body schedules it)"));
@@ -930,12 +987,21 @@ impl Analysis<'_> {
     }
 
     fn eval_call(&mut self, e: &Expr, callee: &Expr, args: &[Expr]) -> Facts {
-        let callee_name = match &callee.kind {
+        let last = match &callee.kind {
             ExprKind::Path(segs) => segs.last().map(String::as_str).unwrap_or(""),
             _ => "",
         };
-        let crosses = CROSS_THREAD_FNS.contains(&callee_name);
+        let crosses = CROSS_THREAD_FNS.contains(&last);
         let arg_facts = self.eval_args(args, crosses);
+        let summary = self.ctx.summaries.get(last);
+        let mut slots = Vec::new();
+        if let Some(s) = summary {
+            // A bare call of a `self` method's name, one argument short,
+            // binds its arguments from parameter 1 on.
+            let offset = usize::from(s.has_self && s.arity == args.len() + 1);
+            slots = bind_slots(None, offset, args, &arg_facts);
+            self.apply_writes(e, last, s, &slots);
+        }
         let arg_taint = arg_facts.iter().find_map(|f| f.taint);
         let arg_params = arg_facts.iter().fold(0u32, |m, f| m | f.params);
         let ExprKind::Path(segs) = &callee.kind else {
@@ -946,7 +1012,6 @@ impl Analysis<'_> {
                 ..Facts::default()
             };
         };
-        let last = segs.last().map(String::as_str).unwrap_or("");
         let has = |name: &str| segs.iter().any(|s| s == name);
 
         // Nondeterminism sources.
@@ -1011,7 +1076,7 @@ impl Analysis<'_> {
         }
 
         // Workspace functions with unit-suffixed parameters.
-        if let Some(units) = self.symbols.param_units(last) {
+        if let Some(units) = self.ctx.symbols.param_units(last) {
             // Skip a leading `self` slot when signature and call-site
             // arities differ by one (free call of a method name).
             let offset = usize::from(units.len() == args.len() + 1);
@@ -1025,17 +1090,14 @@ impl Analysis<'_> {
         // Interprocedural: consume the callee's summary. Direct sink
         // names were already handled above (skipping them avoids a
         // duplicate report when a workspace fn shares a sink's name).
-        if !SINK_METHODS.contains(&last) {
-            if let Some(s) = self.summaries.get(last) {
-                let offset = usize::from(s.has_self && s.arity == args.len() + 1);
-                return self.apply_summary(e, s, None, args, &arg_facts, offset, last);
-            }
+        if let Some(s) = summary.filter(|_| !SINK_METHODS.contains(&last)) {
+            return self.apply_flows(e, last, s, &slots);
         }
 
         Facts {
             taint: arg_taint,
             unit: unit_from_name(last),
-            hashy: self.symbols.hash_fns.contains(last),
+            hashy: self.ctx.symbols.hash_fns.contains(last),
             params: arg_params,
             ..Facts::default()
         }
@@ -1045,6 +1107,12 @@ impl Analysis<'_> {
         let r = self.eval(recv);
         let crosses = CROSS_THREAD_FNS.contains(&method);
         let arg_facts = self.eval_args(args, crosses);
+        let summary = self.ctx.summaries.get(method);
+        let slots = match summary {
+            Some(s) if s.has_self => bind_slots(Some((recv, r)), 1, args, &arg_facts),
+            _ => Vec::new(),
+        };
+        self.method_writes(e, recv, method, args.len(), summary, &slots);
         let arg_taint = arg_facts.iter().find_map(|f| f.taint);
         let arg_params = arg_facts.iter().fold(0u32, |m, f| m | f.params);
 
@@ -1061,9 +1129,8 @@ impl Analysis<'_> {
             for (arg, f) in args.iter().zip(&arg_facts) {
                 if f.completion {
                     self.report(
-                        FlowRule::OrderAgg,
-                        arg.span.line,
-                        arg.span.col,
+                        SHARD_ORDER_AGG,
+                        arg,
                         format!(
                             "fan-out result received in completion order is aggregated with \
                              `.{method}`; combine results by index (one slot per input) so the \
@@ -1149,10 +1216,8 @@ impl Analysis<'_> {
         // Interprocedural: a workspace method with a known summary.
         // Sink/aggregation names were already handled directly above.
         if !SINK_METHODS.contains(&method) && !AGG_METHODS.contains(&method) {
-            if let Some(s) = self.summaries.get(method) {
-                if s.has_self {
-                    return self.apply_summary(e, s, Some((recv, r)), args, &arg_facts, 1, method);
-                }
+            if let Some(s) = summary.filter(|s| s.has_self) {
+                return self.apply_flows(e, method, s, &slots);
             }
         }
 
@@ -1163,12 +1228,28 @@ impl Analysis<'_> {
         Facts {
             taint: r.taint.or(arg_taint),
             unit: None,
-            hashy: r.hashy || self.symbols.hash_fns.contains(method),
+            hashy: r.hashy || self.ctx.symbols.hash_fns.contains(method),
             params: r.params | arg_params,
             completion: r.completion,
             channel: r.channel,
         }
     }
+}
+
+/// Pairs each argument of a call site (with its facts) with the callee
+/// parameter it binds: the receiver, when present, is parameter 0 and
+/// the arguments start at `offset`.
+fn bind_slots<'e>(
+    recv: Option<(&'e Expr, Facts)>,
+    offset: usize,
+    args: &'e [Expr],
+    arg_facts: &[Facts],
+) -> Vec<(usize, &'e Expr, Facts)> {
+    let recv = recv.map(|(e, f)| (0, e, f));
+    let args = args.iter().zip(arg_facts).enumerate();
+    recv.into_iter()
+        .chain(args.map(|(i, (a, f))| (i + offset, a, *f)))
+        .collect()
 }
 
 /// A stable key for trackable assignment targets: plain locals and
@@ -1207,62 +1288,48 @@ fn describe(e: &Expr) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{walk_fns, ItemKind};
+    use crate::ast::walk_fns;
     use crate::lexer::lex;
     use crate::parser::parse_file;
-    use crate::symbols::parse_unit_annotations;
+    use crate::symbols::{parse_state_annotations, parse_unit_annotations};
 
-    fn run(src: &str) -> Vec<FlowFinding> {
+    fn run_with(src: &str, families: FlowFamilies) -> Vec<Finding> {
         let toks = lex(src);
         let file = parse_file(&toks);
         assert_eq!(file.recovered_skips, 0, "test source must parse");
         let (anns, bad) = parse_unit_annotations(&toks);
         assert!(bad.is_empty(), "{bad:?}");
         let symbols = Symbols::build(&[(&file, &anns)]);
-        let summaries = crate::callgraph::build(&[(&file, &anns)], &symbols);
+        let model = StateModel::build(&[(&file, &parse_state_annotations(&toks).0)]);
+        let summaries = crate::callgraph::build(&[(&file, &anns)], &symbols, &model);
+        let ctx = Ctx {
+            symbols: &symbols,
+            anns: &anns,
+            model: &model,
+            summaries: &summaries,
+        };
+        let sim = families.taint;
         let mut out = Vec::new();
-        walk_fns(&file, &mut |_, f| {
-            analyze_fn(
-                f,
-                &symbols,
-                &anns,
-                &summaries,
-                FlowFamilies::all(),
-                &mut out,
-            );
+        walk_fns(&file, &mut |owner, f| {
+            out.extend(check_fn(f, owner, ctx, families, sim, "x.rs"));
         });
-        // Also walk functions inside cfg(test) mods for test purposes.
-        for item in &file.items {
-            if let ItemKind::Mod(m) = &item.kind {
-                if m.cfg_test {
-                    for it in &m.items {
-                        if let ItemKind::Fn(f) = &it.kind {
-                            analyze_fn(
-                                f,
-                                &symbols,
-                                &anns,
-                                &summaries,
-                                FlowFamilies::all(),
-                                &mut out,
-                            );
-                        }
-                    }
-                }
-            }
-        }
         out
     }
 
-    fn count(f: &[FlowFinding], rule: FlowRule) -> usize {
+    fn run(src: &str) -> Vec<Finding> {
+        run_with(src, FlowFamilies::all())
+    }
+
+    fn count(f: &[Finding], rule: &str) -> usize {
         f.iter().filter(|x| x.rule == rule).count()
     }
 
-    fn taints(f: &[FlowFinding]) -> usize {
-        count(f, FlowRule::Taint)
+    fn taints(f: &[Finding]) -> usize {
+        count(f, NONDET_TAINT)
     }
 
-    fn units(f: &[FlowFinding]) -> usize {
-        count(f, FlowRule::Unit)
+    fn units(f: &[Finding]) -> usize {
+        count(f, TIME_UNIT)
     }
 
     #[test]
@@ -1481,7 +1548,7 @@ mod tests {
                });\n\
              }");
         // One finding per (boundary, name): two spawns, one capture each.
-        assert_eq!(count(&f, FlowRule::CrossThread), 2, "{f:?}");
+        assert_eq!(count(&f, SHARD_CROSS_THREAD), 2, "{f:?}");
     }
 
     #[test]
@@ -1490,7 +1557,7 @@ mod tests {
                let m = HashMap::new();\n\
                par_runs(items, |k| m.len() + k);\n\
              }");
-        assert_eq!(count(&f, FlowRule::CrossThread), 1, "{f:?}");
+        assert_eq!(count(&f, SHARD_CROSS_THREAD), 1, "{f:?}");
     }
 
     #[test]
@@ -1498,7 +1565,7 @@ mod tests {
         let f = run("pub fn good(cfg: u64, items: Vec<u64>) {\n\
                par_runs(items, |k| k + cfg);\n\
              }");
-        assert_eq!(count(&f, FlowRule::CrossThread), 0, "{f:?}");
+        assert_eq!(count(&f, SHARD_CROSS_THREAD), 0, "{f:?}");
     }
 
     #[test]
@@ -1509,7 +1576,7 @@ mod tests {
                  k + start\n\
                });\n\
              }");
-        assert_eq!(count(&f, FlowRule::CrossThread), 0, "{f:?}");
+        assert_eq!(count(&f, SHARD_CROSS_THREAD), 0, "{f:?}");
     }
 
     #[test]
@@ -1518,7 +1585,7 @@ mod tests {
                let t = Instant::now();\n\
                tx.send(t);\n\
              }");
-        assert_eq!(count(&f, FlowRule::CrossThread), 1, "{f:?}");
+        assert_eq!(count(&f, SHARD_CROSS_THREAD), 1, "{f:?}");
     }
 
     #[test]
@@ -1532,7 +1599,7 @@ mod tests {
                }\n\
                out\n\
              }");
-        assert_eq!(count(&f, FlowRule::OrderAgg), 1, "{f:?}");
+        assert_eq!(count(&f, SHARD_ORDER_AGG), 1, "{f:?}");
     }
 
     #[test]
@@ -1544,7 +1611,7 @@ mod tests {
                  out[idx] = v;\n\
                }\n\
              }");
-        assert_eq!(count(&f, FlowRule::OrderAgg), 0, "{f:?}");
+        assert_eq!(count(&f, SHARD_ORDER_AGG), 0, "{f:?}");
     }
 
     #[test]
@@ -1555,31 +1622,18 @@ mod tests {
                  acc.push(v);\n\
                }\n\
              }");
-        assert_eq!(count(&f, FlowRule::OrderAgg), 1, "{f:?}");
+        assert_eq!(count(&f, SHARD_ORDER_AGG), 1, "{f:?}");
     }
 
     #[test]
     fn shard_family_gating_suppresses_taint_reports() {
-        let toks = lex("pub fn bench(q: &mut Q) {\n\
+        let out = run_with(
+            "pub fn bench(q: &mut Q) {\n\
                let t = Instant::now();\n\
                q.push(t);\n\
-             }");
-        let file = parse_file(&toks);
-        assert_eq!(file.recovered_skips, 0);
-        let (anns, _) = parse_unit_annotations(&toks);
-        let symbols = Symbols::build(&[(&file, &anns)]);
-        let summaries = crate::callgraph::build(&[(&file, &anns)], &symbols);
-        let mut out = Vec::new();
-        walk_fns(&file, &mut |_, f| {
-            analyze_fn(
-                f,
-                &symbols,
-                &anns,
-                &summaries,
-                FlowFamilies::shard_only(),
-                &mut out,
-            );
-        });
+             }",
+            FlowFamilies::shard_only(),
+        );
         assert_eq!(out.len(), 0, "{out:?}");
     }
 }

@@ -1,18 +1,19 @@
-//! Interprocedural write-effect analysis: which state can a function
-//! mutate?
+//! Write effects: the state classification and the write half of the
+//! body walker.
 //!
 //! The golden-digest suite proves the observer layers (tracing, live
 //! metrics, kernel profiling) are behavior-preserving *dynamically*, on
-//! three lucky seeds. This module is the static counterpart: for every
-//! function defined in the flow-analyzed crates it computes a
-//! [`FnEffects`] summary — which parameters (by index and first
-//! projected field) and which statics the body may write, transitively
-//! through helpers, method calls, and closures — and classifies each
-//! written location as **sim** state (anything that feeds the event
-//! stream) or **observer** state (the `Tracer` / `LiveMetrics` /
-//! `KernelProfiler` / `TraceLog` family, extensible via
-//! `// simlint::state(observer)` annotations on a struct, field, or
-//! static). Three rules consume the summaries:
+//! three lucky seeds. This module is the static counterpart. The
+//! [`StateModel`] classifies every piece of workspace state as **sim**
+//! state (anything that feeds the event stream) or **observer** state
+//! (the `Tracer` / `LiveMetrics` / `KernelProfiler` / `TraceLog`
+//! family, extensible via `// simlint::state(observer)` annotations on
+//! a struct, field, or static). The body walker (`dataflow.rs`) calls
+//! the methods below to resolve what each write lands on, and records
+//! every sim-classified write — by parameter index and first projected
+//! field, or by static — in the function's `FnSummary`, transitively
+//! through helpers, method calls, and closures. Three rules consume
+//! the summaries:
 //!
 //! * `observer-purity` — code that only runs when observation is on
 //!   (under a `cfg.trace` / `cfg.metrics` / `cfg.prof` guard, an
@@ -32,10 +33,6 @@
 //!   cross-thread mutation (`shard-cross-thread`) even when no taint is
 //!   involved.
 //!
-//! Like the taint summaries, effect summaries are name-keyed (no type
-//! resolution), conflicting arities are dropped (and counted — see
-//! `dropped_symbols`), and the fixpoint runs bottom-up over Tarjan SCCs
-//! of the same call graph; effect sets only grow, so it terminates.
 //! The analysis is deliberately heuristic: `let alias = &mut
 //! self.field` is tracked, a `&mut` smuggled through an untracked
 //! accessor return is not, and by-value rebinding (`x = 3` on a plain
@@ -43,18 +40,18 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::ast::{
-    walk_expr, Block, Expr, ExprKind, File, Func, Item, ItemKind, StmtKind,
-};
-use crate::callgraph::tarjan_sccs;
+use crate::ast::{walk_expr, Expr, ExprKind, File, Item, ItemKind, TypeRef};
+use crate::callgraph::FnSummary;
+use crate::dataflow::{Facts, Walker};
 
 /// Rule name for observation-gated sim-state writes.
 pub const OBSERVER_PURITY: &str = "observer-purity";
 /// Rule name for post-`validate()` `SystemConfig` mutation.
 pub const FROZEN_CONFIG: &str = "frozen-config";
-/// Rule names reused for the field-sensitive shard upgrades.
+/// Rule name for process-global state; the walker reports static
+/// writes under it.
 pub const SHARD_SHARED_STATE: &str = "shard-shared-state";
-/// See [`SHARD_SHARED_STATE`].
+/// Rule name for values and writes crossing a thread boundary.
 pub const SHARD_CROSS_THREAD: &str = "shard-cross-thread";
 
 /// The built-in observer types: state owned by these never feeds the
@@ -217,15 +214,13 @@ fn annotation_for(line: u32, anns: &StateAnnotations) -> Option<StateClass> {
 fn collect_types(items: &[Item], anns: &StateAnnotations, m: &mut StateModel) {
     for item in items {
         match &item.kind {
-            ItemKind::Struct(st) => {
-                if annotation_for(item.span.line, anns) == Some(StateClass::Observer) {
-                    m.observer_types.insert(st.name.clone());
-                }
+            ItemKind::Struct(st)
+                if annotation_for(item.span.line, anns) == Some(StateClass::Observer) =>
+            {
+                m.observer_types.insert(st.name.clone());
             }
-            ItemKind::Const(c) => {
-                if annotation_for(c.line, anns) == Some(StateClass::Observer) {
-                    m.observer_statics.insert(c.name.clone());
-                }
+            ItemKind::Const(c) if annotation_for(c.line, anns) == Some(StateClass::Observer) => {
+                m.observer_statics.insert(c.name.clone());
             }
             ItemKind::Mod(md) if !md.cfg_test => collect_types(&md.items, anns, m),
             _ => {}
@@ -248,11 +243,8 @@ fn collect_fields(items: &[Item], anns: &StateAnnotations, m: &mut StateModel) {
                         m.gate_fields.insert(field.name.clone());
                     }
                     let class = annotation_for(field.line, anns).unwrap_or({
-                        let ty_observer = field
-                            .ty
-                            .idents
-                            .iter()
-                            .any(|i| m.observer_types.contains(i));
+                        let ty_observer =
+                            field.ty.idents.iter().any(|i| m.observer_types.contains(i));
                         if owner_observer || ty_observer {
                             StateClass::Observer
                         } else {
@@ -275,277 +267,9 @@ fn collect_fields(items: &[Item], anns: &StateAnnotations, m: &mut StateModel) {
     }
 }
 
-/// What one named function may mutate, beyond its own locals. Only
-/// **sim-classified** writes are recorded: observer writes are the
-/// whole point of the observer layers and carry no risk.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FnEffects {
-    /// Declared parameter count, `self` included.
-    pub arity: usize,
-    /// The first parameter is a `self` receiver.
-    pub has_self: bool,
-    /// `(parameter index, first projected field)` pairs the body may
-    /// write, transitively. An empty field name means the parameter's
-    /// own pointee (`*p = v`).
-    pub sim_writes: BTreeSet<(usize, String)>,
-    /// Names of statics the body may write, transitively.
-    pub sim_statics: BTreeSet<String>,
-}
-
-impl FnEffects {
-    /// No sim-state writes at all: safe to call from observation-gated
-    /// code.
-    pub fn is_pure(&self) -> bool {
-        self.sim_writes.is_empty() && self.sim_statics.is_empty()
-    }
-
-    /// Set-union merge; only ever grows, so the SCC fixpoint terminates.
-    fn absorb(&mut self, other: &FnEffects) -> bool {
-        let before = (self.sim_writes.len(), self.sim_statics.len());
-        self.sim_writes.extend(other.sim_writes.iter().cloned());
-        self.sim_statics.extend(other.sim_statics.iter().cloned());
-        before != (self.sim_writes.len(), self.sim_statics.len())
-    }
-
-    /// Short human rendering of the effect set, for findings and the
-    /// golden snapshot test.
-    pub fn describe(&self) -> String {
-        let mut parts: Vec<String> = self
-            .sim_writes
-            .iter()
-            .map(|(i, f)| {
-                if f.is_empty() {
-                    format!("param {i}")
-                } else if *i == 0 && self.has_self {
-                    format!("self.{f}")
-                } else {
-                    format!("param {i}.{f}")
-                }
-            })
-            .collect();
-        parts.extend(self.sim_statics.iter().map(|s| format!("static {s}")));
-        if parts.is_empty() {
-            "pure".to_owned()
-        } else {
-            parts.join(", ")
-        }
-    }
-}
-
-/// Name-keyed effect summaries. `None` marks a name excluded for
-/// conflicting arities, mirroring `callgraph::Summaries`.
-#[derive(Debug, Default)]
-pub struct EffectsTable {
-    map: BTreeMap<String, Option<FnEffects>>,
-}
-
-impl EffectsTable {
-    /// A table with no summaries; every callee looks unknown.
-    pub fn empty() -> EffectsTable {
-        EffectsTable::default()
-    }
-
-    /// The effects for `name`, if summarized and unambiguous.
-    pub fn get(&self, name: &str) -> Option<&FnEffects> {
-        self.map.get(name).and_then(Option::as_ref)
-    }
-
-    /// Stable text rendering of every summary, one `name: effects` line
-    /// per function — the golden-snapshot surface.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (name, eff) in &self.map {
-            match eff {
-                Some(e) => out.push_str(&format!("{name}: {}\n", e.describe())),
-                None => out.push_str(&format!("{name}: <conflicting arities>\n")),
-            }
-        }
-        out
-    }
-}
-
-/// One effect-rule violation, file-relative; `rules.rs` attaches the
-/// path.
-#[derive(Debug)]
-pub struct EffFinding {
-    /// Which rule fired (one of the `pub const` names above).
-    pub rule: &'static str,
-    /// 1-based line.
-    pub line: u32,
-    /// 1-based column.
-    pub col: u32,
-    /// Human-readable description.
-    pub message: String,
-}
-
-/// Builds effect summaries for every function in `files`, bottom-up
-/// over the call-graph SCCs (same discipline as `callgraph::build`).
-pub fn build(files: &[(&File, &StateAnnotations)], model: &StateModel) -> EffectsTable {
-    let mut defs: BTreeMap<String, Vec<(Option<&str>, &Func)>> = BTreeMap::new();
-    for (file, _) in files {
-        collect_fns(&file.items, None, &mut |owner, f| {
-            defs.entry(f.name.clone()).or_default().push((owner, f));
-        });
-    }
-
-    let mut table = EffectsTable::default();
-    let names: Vec<&String> = defs
-        .keys()
-        .filter(|name| {
-            let arities: BTreeSet<usize> =
-                defs[*name].iter().map(|(_, f)| f.params.len()).collect();
-            if arities.len() > 1 {
-                table.map.insert((**name).clone(), None);
-                false
-            } else {
-                true
-            }
-        })
-        .collect();
-    let index_of: BTreeMap<&str, usize> = names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.as_str(), i))
-        .collect();
-
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); names.len()];
-    for (i, name) in names.iter().enumerate() {
-        let mut callees = BTreeSet::new();
-        for (_, f) in &defs[*name] {
-            let Some(body) = &f.body else { continue };
-            crate::ast::walk_block_exprs(body, &mut |e| {
-                let called = match &e.kind {
-                    ExprKind::Call { callee, .. } => match &callee.kind {
-                        ExprKind::Path(segs) => segs.last().map(String::as_str),
-                        _ => None,
-                    },
-                    ExprKind::MethodCall { method, .. } => Some(method.as_str()),
-                    _ => None,
-                };
-                if let Some(c) = called {
-                    if let Some(&j) = index_of.get(c) {
-                        callees.insert(j);
-                    }
-                }
-            });
-        }
-        adj[i] = callees.into_iter().collect();
-    }
-
-    for scc in tarjan_sccs(&adj) {
-        for &ni in &scc {
-            let (_, f) = defs[names[ni]][0];
-            table.map.insert(
-                names[ni].clone(),
-                Some(FnEffects {
-                    arity: f.params.len(),
-                    has_self: f
-                        .params
-                        .first()
-                        .is_some_and(|p| p.name.as_deref() == Some("self")),
-                    ..FnEffects::default()
-                }),
-            );
-        }
-        // Effect sets only grow; the bound is a safety net.
-        for _round in 0..64 {
-            let mut changed = false;
-            for &ni in &scc {
-                let name = names[ni];
-                let mut merged = FnEffects::default();
-                for (owner, f) in &defs[name] {
-                    let eff = summarize_effects(f, *owner, model, &table);
-                    merged.absorb(&eff);
-                }
-                if let Some(Some(current)) = table.map.get_mut(name.as_str()) {
-                    changed |= current.absorb(&merged);
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-    }
-    table
-}
-
-/// Collects `(impl owner, function)` pairs outside `#[cfg(test)]` mods.
-fn collect_fns<'a>(
-    items: &'a [Item],
-    owner: Option<&'a str>,
-    f: &mut impl FnMut(Option<&'a str>, &'a Func),
-) {
-    for item in items {
-        match &item.kind {
-            ItemKind::Fn(func) => f(owner, func),
-            ItemKind::Impl(imp) => collect_fns(&imp.items, Some(&imp.ty_name), f),
-            ItemKind::Mod(m) if !m.cfg_test => collect_fns(&m.items, owner, f),
-            _ => {}
-        }
-    }
-}
-
-/// Computes one function's raw effect summary (no findings).
-fn summarize_effects(
-    func: &Func,
-    owner: Option<&str>,
-    model: &StateModel,
-    table: &EffectsTable,
-) -> FnEffects {
-    let mut w = Walker::new(func, owner, model, table, None);
-    if let Some(body) = &func.body {
-        w.block(body);
-    }
-    w.eff
-}
-
-/// Runs the effect rules over every function in `file`, appending
-/// violations to `out`. `sim_scope` enables `observer-purity`,
-/// `frozen-config` and the static-write upgrade; `shard_scope` enables
-/// the write-capture upgrade (bench fan-out code is shard-checked but
-/// not purity-checked).
-pub fn check_file(
-    file: &File,
-    model: &StateModel,
-    table: &EffectsTable,
-    sim_scope: bool,
-    shard_scope: bool,
-    out: &mut Vec<EffFinding>,
-) {
-    collect_fns(&file.items, None, &mut |owner, func| {
-        let Some(body) = &func.body else { return };
-        let mut w = Walker::new(
-            func,
-            owner,
-            model,
-            table,
-            Some(Check {
-                sim_scope,
-                shard_scope,
-                gate_depth: 0,
-                boundaries: Vec::new(),
-                cfg_bindings: BTreeMap::new(),
-                reported: BTreeSet::new(),
-                findings: Vec::new(),
-            }),
-        );
-        if sim_scope && w.owner_observer {
-            // Everything inside an observer impl only runs in service
-            // of observation: the whole body is gated.
-            if let Some(c) = w.check.as_mut() {
-                c.gate_depth = 1;
-            }
-        }
-        w.block(body);
-        if let Some(c) = w.check.take() {
-            out.extend(c.findings);
-        }
-    });
-}
-
 /// Where a tracked value points: the root the analysis can name.
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum Origin {
+pub(crate) enum Origin {
     /// A plain local; writes cannot escape the function.
     Local,
     /// Derived from parameter `idx`, optionally through one projected
@@ -565,90 +289,8 @@ struct Resolved {
     root: Option<(String, usize)>,
 }
 
-struct Check {
-    sim_scope: bool,
-    shard_scope: bool,
-    /// Observation-gate nesting depth; > 0 means this code only runs
-    /// when tracing/metrics/profiling is enabled.
-    gate_depth: u32,
-    /// Scope depths at cross-thread closure entry.
-    boundaries: Vec<usize>,
-    /// `SystemConfig` bindings in this body → frozen (validate seen)?
-    cfg_bindings: BTreeMap<String, bool>,
-    /// `(line, col, rule)` already reported (dedup).
-    reported: BTreeSet<(u32, u32, &'static str)>,
-    findings: Vec<EffFinding>,
-}
-
-struct Walker<'a> {
-    model: &'a StateModel,
-    table: &'a EffectsTable,
-    owner: Option<&'a str>,
-    owner_observer: bool,
-    /// Per-parameter: its declared type mentions an observer type (or
-    /// it is `self` of an observer impl), so writes through it are
-    /// observer-class regardless of field.
-    param_observer: Vec<bool>,
-    scopes: Vec<BTreeMap<String, Origin>>,
-    eff: FnEffects,
-    check: Option<Check>,
-}
-
-impl<'a> Walker<'a> {
-    fn new(
-        func: &'a Func,
-        owner: Option<&'a str>,
-        model: &'a StateModel,
-        table: &'a EffectsTable,
-        check: Option<Check>,
-    ) -> Walker<'a> {
-        let owner_observer = owner.is_some_and(|o| model.is_observer_type(o));
-        let mut scopes = vec![BTreeMap::new()];
-        let mut param_observer = Vec::with_capacity(func.params.len());
-        for (i, p) in func.params.iter().enumerate() {
-            let is_self = p.name.as_deref() == Some("self");
-            let obs = (is_self && owner_observer)
-                || p.ty
-                    .as_ref()
-                    .is_some_and(|t| t.idents.iter().any(|id| model.is_observer_type(id)));
-            param_observer.push(obs);
-            if let Some(name) = &p.name {
-                scopes[0].insert(name.clone(), Origin::Param { idx: i, field: None });
-            }
-        }
-        Walker {
-            model,
-            table,
-            owner,
-            owner_observer,
-            param_observer,
-            scopes,
-            eff: FnEffects {
-                arity: func.params.len(),
-                has_self: func
-                    .params
-                    .first()
-                    .is_some_and(|p| p.name.as_deref() == Some("self")),
-                ..FnEffects::default()
-            },
-            check,
-        }
-    }
-
-    fn resolve(&self, name: &str) -> Option<(usize, Origin)> {
-        self.scopes
-            .iter()
-            .enumerate()
-            .rev()
-            .find_map(|(d, s)| s.get(name).map(|o| (d, o.clone())))
-    }
-
-    fn bind(&mut self, name: String, origin: Origin) {
-        if let Some(top) = self.scopes.last_mut() {
-            top.insert(name, origin);
-        }
-    }
-
+/// The write half of the body walker.
+impl Walker<'_> {
     /// Resolves what an lvalue (or reference expression) names. Walks
     /// through field projections, indexing, `&`/`*`, `?`, casts, and
     /// reference-projecting methods.
@@ -661,14 +303,9 @@ impl<'a> Walker<'a> {
                         origin: Some(origin),
                         root: Some((name.clone(), depth)),
                     }
-                } else if is_screaming(name) {
-                    Resolved {
-                        origin: Some(Origin::Static(name.clone())),
-                        root: None,
-                    }
                 } else {
                     Resolved {
-                        origin: None,
+                        origin: is_screaming(name).then(|| Origin::Static(name.clone())),
                         root: None,
                     }
                 }
@@ -697,6 +334,24 @@ impl<'a> Walker<'a> {
         }
     }
 
+    /// The origin a `let` binding takes from its initializer. Only
+    /// reference-like initializers alias their source: `&mut x`, a
+    /// rebound reference, a projecting method. A bare field/method read
+    /// is a copy or a move — writes to it stay local.
+    pub(crate) fn let_origin(&self, init: &Expr) -> Origin {
+        let origin = match &init.kind {
+            ExprKind::Unary { expr } => self.origin_of(expr).origin,
+            ExprKind::Path(segs) if segs.len() == 1 => self.resolve(&segs[0]).map(|(_, o)| o),
+            ExprKind::MethodCall { recv, method, .. }
+                if PROJECTION_METHODS.contains(&method.as_str()) =>
+            {
+                self.origin_of(recv).origin
+            }
+            _ => None,
+        };
+        origin.unwrap_or(Origin::Local)
+    }
+
     /// Classifies a composed write through parameter `idx` (first
     /// projection `field`, empty = the pointee itself).
     fn write_class(&self, idx: usize, field: &str) -> StateClass {
@@ -706,41 +361,28 @@ impl<'a> Walker<'a> {
         if field.is_empty() {
             StateClass::Sim
         } else {
-            self.model.field_class(field)
+            self.ctx.model.field_class(field)
         }
     }
 
-    fn report(&mut self, rule: &'static str, line: u32, col: u32, message: String) {
-        if let Some(c) = self.check.as_mut() {
-            if c.reported.insert((line, col, rule)) {
-                c.findings.push(EffFinding {
-                    rule,
-                    line,
-                    col,
-                    message,
-                });
-            }
+    /// Reports a write to binding `root` (at scope `depth`) from inside
+    /// a thread-crossing closure that captured it.
+    fn capture_write(&mut self, root: &str, depth: usize, at: &Expr) {
+        if self.crossing(depth).is_some() {
+            let msg = format!(
+                "closure passed to a thread-crossing call writes captured `{root}` — \
+                 per-shard results must be merged by index, not by shared mutation"
+            );
+            self.report_once(SHARD_CROSS_THREAD, at, msg);
         }
-    }
-
-    fn gated(&self) -> bool {
-        self.check.as_ref().is_some_and(|c| c.sim_scope && c.gate_depth > 0)
     }
 
     /// Records a direct write through `resolved` at `e` (an assignment
     /// target or a mutated receiver), updating the summary and firing
     /// the check-mode rules.
     fn record_write(&mut self, resolved: &Resolved, e: &Expr, what: &str) {
-        // Cross-thread capture writes: any write whose root binding
-        // lives outside the innermost thread-crossing closure.
-        if let (Some(c), Some((root, depth))) = (self.check.as_ref(), resolved.root.as_ref()) {
-            if c.shard_scope && c.boundaries.last().is_some_and(|b| depth < b) {
-                let msg = format!(
-                    "closure passed to a thread-crossing call writes captured `{root}` — \
-                     per-shard results must be merged by index, not by shared mutation"
-                );
-                self.report(SHARD_CROSS_THREAD, e.span.line, e.span.col, msg);
-            }
+        if let Some((root, depth)) = &resolved.root {
+            self.capture_write(root, *depth, e);
         }
         match resolved.origin.clone() {
             Some(Origin::Param { idx, field }) => {
@@ -748,41 +390,36 @@ impl<'a> Walker<'a> {
                 if self.write_class(idx, &field) == StateClass::Sim {
                     if self.gated() {
                         let target = self.describe_param_write(idx, &field);
-                        self.report(
+                        self.report_once(
                             OBSERVER_PURITY,
-                            e.span.line,
-                            e.span.col,
+                            e,
                             format!(
                                 "observation-gated code writes sim state {target} ({what}) — \
                                  observer layers must not perturb the simulation"
                             ),
                         );
                     }
-                    self.eff.sim_writes.insert((idx, field));
+                    self.summary.sim_writes.insert((idx, field));
                 }
             }
             Some(Origin::Static(name)) => {
-                if self.model.static_class(&name) == StateClass::Sim {
-                    if self.check.as_ref().is_some_and(|c| c.sim_scope) {
-                        self.report(
-                            SHARD_SHARED_STATE,
-                            e.span.line,
-                            e.span.col,
-                            format!(
-                                "static `{name}` is written here ({what}) — per-shard runs \
-                                 must not communicate through process globals"
-                            ),
-                        );
-                    }
+                if self.ctx.model.static_class(&name) == StateClass::Sim {
+                    self.report_once(
+                        SHARD_SHARED_STATE,
+                        e,
+                        format!(
+                            "static `{name}` is written here ({what}) — per-shard runs \
+                             must not communicate through process globals"
+                        ),
+                    );
                     if self.gated() {
-                        self.report(
+                        self.report_once(
                             OBSERVER_PURITY,
-                            e.span.line,
-                            e.span.col,
+                            e,
                             format!("observation-gated code writes static `{name}` ({what})"),
                         );
                     }
-                    self.eff.sim_statics.insert(name);
+                    self.summary.sim_statics.insert(name);
                 }
             }
             Some(Origin::Local) | None => {}
@@ -790,7 +427,7 @@ impl<'a> Walker<'a> {
     }
 
     fn describe_param_write(&self, idx: usize, field: &str) -> String {
-        if idx == 0 && self.eff.has_self {
+        if idx == 0 && self.summary.has_self {
             if field.is_empty() {
                 "`self`".to_owned()
             } else {
@@ -803,27 +440,22 @@ impl<'a> Walker<'a> {
         }
     }
 
-    /// Applies a known callee's effect summary at a call site: its
-    /// parameter writes compose onto this call's receiver/arguments.
-    fn apply_callee(
+    /// Applies a known callee's write effects at a call site: its
+    /// parameter writes compose onto the expressions bound to those
+    /// parameters (`slots`, as the flow half binds them).
+    pub(crate) fn apply_writes(
         &mut self,
         e: &Expr,
-        callee_name: &str,
-        eff: FnEffects,
-        recv: Option<&Expr>,
-        args: &[Expr],
+        callee: &str,
+        s: &FnSummary,
+        slots: &[(usize, &Expr, Facts)],
     ) {
         let mut gated_hits: Vec<String> = Vec::new();
-        let offset = usize::from(recv.is_some());
-        for (j, f) in eff.sim_writes.iter() {
-            let target: Option<&Expr> = if *j == 0 && recv.is_some() {
-                recv
-            } else {
-                args.get(j - offset)
+        for (j, f) in &s.sim_writes {
+            let Some(&(_, target, _)) = slots.iter().find(|(idx, ..)| idx == j) else {
+                continue;
             };
-            let Some(target) = target else { continue };
-            let resolved = self.origin_of(target);
-            match resolved.origin.clone() {
+            match self.origin_of(target).origin {
                 Some(Origin::Param { idx, field }) => {
                     // The caller's projection is the classification
                     // anchor: writing `callee(&mut self.stats)` where the
@@ -831,21 +463,21 @@ impl<'a> Walker<'a> {
                     let field = field.or_else(|| (!f.is_empty()).then(|| f.clone()));
                     let field = field.unwrap_or_default();
                     if self.write_class(idx, &field) == StateClass::Sim {
-                        self.eff.sim_writes.insert((idx, field.clone()));
                         if self.gated() {
                             gated_hits.push(self.describe_param_write(idx, &field));
                         }
+                        self.summary.sim_writes.insert((idx, field));
                     }
                 }
-                Some(Origin::Static(name)) => {
-                    if self.model.static_class(&name) == StateClass::Sim {
-                        self.eff.sim_statics.insert(name.clone());
-                        if self.gated() {
-                            gated_hits.push(format!("static `{name}`"));
-                        }
+                Some(Origin::Static(name))
+                    if self.ctx.model.static_class(&name) == StateClass::Sim =>
+                {
+                    if self.gated() {
+                        gated_hits.push(format!("static `{name}`"));
                     }
+                    self.summary.sim_statics.insert(name);
                 }
-                Some(Origin::Local) => {}
+                Some(Origin::Static(_) | Origin::Local) => {}
                 // An unresolvable target (a temporary, an untracked
                 // accessor return): conservatively assume the callee's
                 // sim write lands somewhere real when observation-gated.
@@ -855,83 +487,101 @@ impl<'a> Walker<'a> {
                 None => {}
             }
         }
-        for s in eff.sim_statics.iter() {
-            if self.model.static_class(s) == StateClass::Sim {
-                self.eff.sim_statics.insert(s.clone());
+        for name in &s.sim_statics {
+            if self.ctx.model.static_class(name) == StateClass::Sim {
                 if self.gated() {
-                    gated_hits.push(format!("static `{s}`"));
+                    gated_hits.push(format!("static `{name}`"));
                 }
+                self.summary.sim_statics.insert(name.clone());
             }
         }
         if !gated_hits.is_empty() {
             gated_hits.dedup();
             let msg = format!(
-                "observation-gated call to `{callee_name}` may write sim state ({}) — \
+                "observation-gated call to `{callee}` may write sim state ({}) — \
                  observer layers must not perturb the simulation",
                 gated_hits.join(", ")
             );
-            self.report(OBSERVER_PURITY, e.span.line, e.span.col, msg);
+            self.report_once(OBSERVER_PURITY, e, msg);
         }
     }
 
-    fn block(&mut self, b: &Block) {
-        self.scopes.push(BTreeMap::new());
-        for stmt in &b.stmts {
-            match &stmt.kind {
-                StmtKind::Let { names, ty, init } => {
-                    if let Some(e) = init {
-                        self.expr(e);
-                    }
-                    let origin = match init.as_ref().map(|e| &e.kind) {
-                        // Only reference-like initializers alias their
-                        // source: `&mut x`, a rebound reference, a
-                        // projecting method. A bare field/method read is
-                        // a copy or a move — writes to it stay local.
-                        Some(ExprKind::Unary { expr }) => {
-                            self.origin_of(expr).origin.unwrap_or(Origin::Local)
-                        }
-                        Some(ExprKind::Path(segs)) if segs.len() == 1 => self
-                            .resolve(&segs[0])
-                            .map(|(_, o)| o)
-                            .unwrap_or(Origin::Local),
-                        Some(ExprKind::MethodCall { recv, method, .. })
-                            if PROJECTION_METHODS.contains(&method.as_str()) =>
-                        {
-                            self.origin_of(recv).origin.unwrap_or(Origin::Local)
-                        }
-                        _ => Origin::Local,
-                    };
-                    if names.len() == 1 {
-                        self.track_config_binding(&names[0], ty.as_ref(), init.as_ref());
-                        self.bind(names[0].clone(), origin);
-                    } else {
-                        for n in names {
-                            self.bind(n.clone(), Origin::Local);
-                        }
+    /// The write side of a method call: a `validate()` freeze, the
+    /// callee's summarized writes, or — for a method the workspace does
+    /// not define — the mutating-method heuristic on the receiver.
+    pub(crate) fn method_writes(
+        &mut self,
+        e: &Expr,
+        recv: &Expr,
+        method: &str,
+        argc: usize,
+        summary: Option<&FnSummary>,
+        slots: &[(usize, &Expr, Facts)],
+    ) {
+        if method == "validate" && argc == 0 {
+            if let (ExprKind::Path(segs), Some(c)) = (&recv.kind, self.check.as_mut()) {
+                if let [name] = segs.as_slice() {
+                    if let Some(frozen) = c.cfg_bindings.get_mut(name) {
+                        *frozen = true;
                     }
                 }
-                StmtKind::Expr(e) => self.expr(e),
-                StmtKind::Item(_) | StmtKind::Skipped => {}
             }
         }
-        self.scopes.pop();
+        match summary {
+            Some(s) if s.has_self => self.apply_writes(e, method, s, slots),
+            Some(_) => {}
+            None if is_mutating_method(method, argc) => {
+                let resolved = self.origin_of(recv);
+                self.record_write(&resolved, e, &format!("`.{method}(..)`"));
+            }
+            None => {}
+        }
+    }
+
+    /// The write side of an assignment. A plain-path assignment rebinds
+    /// a local or by-value parameter, which cannot escape the function
+    /// — unless the binding was captured across a thread boundary.
+    /// Writes through a projection or deref are effects.
+    pub(crate) fn assign_writes(&mut self, lhs: &Expr) {
+        let resolved = self.origin_of(lhs);
+        if matches!(&lhs.kind, ExprKind::Path(_)) {
+            if let Some((root, depth)) = &resolved.root {
+                self.capture_write(root, *depth, lhs);
+            }
+        } else {
+            self.check_frozen_config(lhs);
+            self.record_write(&resolved, lhs, "assignment");
+        }
+    }
+
+    /// Opens an observation gate if `cond` is one (check mode only);
+    /// returns whether it did, for [`exit_gate`](Self::exit_gate).
+    pub(crate) fn enter_gate(&mut self, cond: &Expr) -> bool {
+        let Some(c) = self.check.as_mut() else {
+            return false;
+        };
+        let gate = is_gated_cond(cond, self.ctx.model);
+        c.gate_depth += u32::from(gate);
+        gate
+    }
+
+    pub(crate) fn exit_gate(&mut self, gate: bool) {
+        if let Some(c) = self.check.as_mut() {
+            c.gate_depth -= u32::from(gate);
+        }
     }
 
     /// Tracks `let` bindings that hold a `SystemConfig` for the
     /// frozen-config rule (by type ascription, constructor path, or a
     /// clone of an already-tracked binding).
-    fn track_config_binding(
+    pub(crate) fn track_config_binding(
         &mut self,
         name: &str,
-        ty: Option<&crate::ast::TypeRef>,
+        ty: Option<&TypeRef>,
         init: Option<&Expr>,
     ) {
         let Some(c) = self.check.as_mut() else { return };
-        if !c.sim_scope {
-            return;
-        }
-        let is_config = ty
-            .is_some_and(|t| t.idents.iter().any(|i| i == "SystemConfig"))
+        let is_config = ty.is_some_and(|t| t.idents.iter().any(|i| i == "SystemConfig"))
             || init.is_some_and(|e| match &e.kind {
                 ExprKind::Call { callee, .. } => match &callee.kind {
                     ExprKind::Path(segs) => segs.iter().any(|s| s == "SystemConfig"),
@@ -953,7 +603,7 @@ impl<'a> Walker<'a> {
     /// into a validated binding, or through a stored config field.
     fn check_frozen_config(&mut self, lhs: &Expr) {
         let Some(c) = self.check.as_ref() else { return };
-        if !c.sim_scope || self.owner == Some("SystemConfig") {
+        if self.owner == Some("SystemConfig") {
             return;
         }
         let (root, fields) = field_chain(lhs);
@@ -964,14 +614,10 @@ impl<'a> Walker<'a> {
         // is the access path. A config anywhere on the path means the
         // write lands inside a stored (hence validated) config.
         let path = &fields[..fields.len() - 1];
-        let via_stored = path.iter().any(|f| self.model.config_fields.contains(f));
-        let via_frozen = root.as_ref().is_some_and(|r| {
-            self.check
-                .as_ref()
-                .and_then(|c| c.cfg_bindings.get(r))
-                .copied()
-                .unwrap_or(false)
-        });
+        let via_stored = path
+            .iter()
+            .any(|f| self.ctx.model.config_fields.contains(f));
+        let via_frozen = root.is_some_and(|r| c.cfg_bindings.get(&r).copied().unwrap_or(false));
         if via_stored || via_frozen {
             let target = fields.join(".");
             let why = if via_frozen {
@@ -979,10 +625,9 @@ impl<'a> Walker<'a> {
             } else {
                 "through a stored config (post-validate by construction)"
             };
-            self.report(
+            self.report_once(
                 FROZEN_CONFIG,
-                lhs.span.line,
-                lhs.span.col,
+                lhs,
                 format!(
                     "`SystemConfig` field `{target}` is mutated {why} — validated \
                      configs are frozen; build, then validate, then run"
@@ -991,232 +636,11 @@ impl<'a> Walker<'a> {
         }
     }
 
-    fn expr(&mut self, e: &Expr) {
-        match &e.kind {
-            ExprKind::Assign { lhs, rhs, op: _ } => {
-                self.expr(rhs);
-                self.visit_lvalue_reads(lhs);
-                let resolved = self.origin_of(lhs);
-                // A plain-path assignment rebinds a local or by-value
-                // parameter; neither escapes the function. Writes count
-                // only through a projection or deref.
-                let through_projection = !matches!(&lhs.kind, ExprKind::Path(_));
-                if through_projection {
-                    self.check_frozen_config(lhs);
-                    self.record_write(&resolved, lhs, "assignment");
-                } else if let Some((root, depth)) = resolved.root {
-                    // Still a capture-write if the rebound binding lives
-                    // across a thread boundary.
-                    let crossing = self
-                        .check
-                        .as_ref()
-                        .is_some_and(|c| c.shard_scope && c.boundaries.last().is_some_and(|b| depth < *b));
-                    if crossing {
-                        let msg = format!(
-                            "closure passed to a thread-crossing call writes captured `{root}` — \
-                             per-shard results must be merged by index, not by shared mutation"
-                        );
-                        self.report(SHARD_CROSS_THREAD, lhs.span.line, lhs.span.col, msg);
-                    }
-                }
-            }
-            ExprKind::Call { callee, args } => {
-                let name = match &callee.kind {
-                    ExprKind::Path(segs) => segs.last().cloned().unwrap_or_default(),
-                    _ => String::new(),
-                };
-                let crossing = crate::dataflow::CROSS_THREAD_FNS.contains(&name.as_str());
-                self.visit_args(args, crossing);
-                match self.table.get(&name).cloned() {
-                    Some(eff) if !eff.is_pure() => {
-                        // Free-call slot mapping: positional, unless a
-                        // UFCS-style `Type::method(recv, ..)` supplies
-                        // the receiver as the first argument.
-                        if eff.has_self && !args.is_empty() && args.len() == eff.arity {
-                            self.apply_callee(e, &name, eff, Some(&args[0]), &args[1..]);
-                        } else {
-                            self.apply_callee(e, &name, eff, None, args);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            ExprKind::MethodCall { recv, method, args } => {
-                self.expr(recv);
-                let crossing = crate::dataflow::CROSS_THREAD_FNS.contains(&method.as_str());
-                self.visit_args(args, crossing);
-                // `.validate()` freezes a tracked config binding.
-                if method == "validate" && args.is_empty() {
-                    if let ExprKind::Path(segs) = &recv.kind {
-                        if segs.len() == 1 {
-                            if let Some(c) = self.check.as_mut() {
-                                if let Some(frozen) = c.cfg_bindings.get_mut(&segs[0]) {
-                                    *frozen = true;
-                                }
-                            }
-                        }
-                    }
-                }
-                match self.table.get(method).cloned() {
-                    Some(eff) if eff.has_self => {
-                        if !eff.is_pure() {
-                            self.apply_callee(e, method, eff, Some(recv), args);
-                        }
-                    }
-                    Some(_) => {}
-                    None if is_mutating_method(method, args.len()) => {
-                        let resolved = self.origin_of(recv);
-                        self.record_write(&resolved, e, &format!("`.{method}(..)`"));
-                    }
-                    None => {}
-                }
-            }
-            ExprKind::If { cond, then, els } => {
-                self.visit_cond(cond);
-                let gate = self
-                    .check
-                    .as_ref()
-                    .is_some_and(|c| c.sim_scope && is_gated_cond(cond, self.model));
-                let mut bound = Vec::new();
-                self.cond_bindings(cond, &mut bound);
-                if gate {
-                    if let Some(c) = self.check.as_mut() {
-                        c.gate_depth += 1;
-                    }
-                }
-                self.scopes.push(BTreeMap::new());
-                for (name, origin) in bound {
-                    self.bind(name, origin);
-                }
-                self.block(then);
-                self.scopes.pop();
-                if gate {
-                    if let Some(c) = self.check.as_mut() {
-                        c.gate_depth -= 1;
-                    }
-                }
-                if let Some(els) = els {
-                    self.expr(els);
-                }
-            }
-            ExprKind::While { cond, body } => {
-                self.visit_cond(cond);
-                let mut bound = Vec::new();
-                self.cond_bindings(cond, &mut bound);
-                self.scopes.push(BTreeMap::new());
-                for (name, origin) in bound {
-                    self.bind(name, origin);
-                }
-                self.block(body);
-                self.scopes.pop();
-            }
-            ExprKind::ForLoop { names, iter, body } => {
-                // `for ev in self.queue.drain(..)` mutates the source;
-                // the generic `MethodCall` arm records it.
-                self.expr(iter);
-                self.scopes.push(BTreeMap::new());
-                for n in names {
-                    self.bind(n.clone(), Origin::Local);
-                }
-                self.block(body);
-                self.scopes.pop();
-            }
-            ExprKind::Loop { body } => self.block(body),
-            ExprKind::Match { scrutinee, arms } => {
-                self.expr(scrutinee);
-                for arm in arms {
-                    self.scopes.push(BTreeMap::new());
-                    for n in arm.pat.bound_names() {
-                        self.bind(n.clone(), Origin::Local);
-                    }
-                    if let Some(g) = &arm.guard {
-                        self.expr(g);
-                    }
-                    self.expr(&arm.body);
-                    self.scopes.pop();
-                }
-            }
-            ExprKind::Closure { params, body } => {
-                self.scopes.push(BTreeMap::new());
-                for p in params {
-                    self.bind(p.clone(), Origin::Local);
-                }
-                self.expr(body);
-                self.scopes.pop();
-            }
-            ExprKind::Block(b) => self.block(b),
-            ExprKind::Binary { lhs, rhs, .. } => {
-                self.expr(lhs);
-                self.expr(rhs);
-            }
-            ExprKind::Unary { expr }
-            | ExprKind::Try { expr }
-            | ExprKind::Cast { expr, .. } => self.expr(expr),
-            ExprKind::Field { recv, .. } => self.expr(recv),
-            ExprKind::Index { recv, index } => {
-                self.expr(recv);
-                self.expr(index);
-            }
-            ExprKind::Tuple(items) | ExprKind::Array(items) => {
-                for it in items {
-                    self.expr(it);
-                }
-            }
-            ExprKind::StructLit { fields, .. } => {
-                for (_, v, _) in fields {
-                    if let Some(v) = v {
-                        self.expr(v);
-                    }
-                }
-            }
-            ExprKind::MacroCall { args, .. } => {
-                for a in args {
-                    self.expr(a);
-                }
-            }
-            ExprKind::Range { lo, hi } => {
-                if let Some(lo) = lo {
-                    self.expr(lo);
-                }
-                if let Some(hi) = hi {
-                    self.expr(hi);
-                }
-            }
-            ExprKind::Jump(val) => {
-                if let Some(v) = val {
-                    self.expr(v);
-                }
-            }
-            ExprKind::LetCond { expr, .. } => self.expr(expr),
-            ExprKind::Path(_) | ExprKind::Lit(_) | ExprKind::Unknown => {}
-        }
-    }
-
-    /// Visits the non-root sub-expressions of an assignment target
-    /// (index expressions compute values even in lvalue position).
-    fn visit_lvalue_reads(&mut self, lhs: &Expr) {
-        match &lhs.kind {
-            ExprKind::Field { recv, .. } => self.visit_lvalue_reads(recv),
-            ExprKind::Index { recv, index } => {
-                self.visit_lvalue_reads(recv);
-                self.expr(index);
-            }
-            ExprKind::Unary { expr } => self.visit_lvalue_reads(expr),
-            _ => {}
-        }
-    }
-
-    /// Visits a condition's value sub-expressions (`LetCond` scrutinees
-    /// included) without opening a scope.
-    fn visit_cond(&mut self, cond: &Expr) {
-        self.expr(cond);
-    }
-
     /// Names bound by `if let` / `while let` conditions, with the
     /// origin of the unwrapped scrutinee: `if let Some(m) =
     /// self.metrics.as_mut()` binds `m` to `self.metrics`, so writes
     /// through `m` classify by the `metrics` field.
-    fn cond_bindings(&self, cond: &Expr, out: &mut Vec<(String, Origin)>) {
+    pub(crate) fn cond_bindings(&self, cond: &Expr, out: &mut Vec<(String, Origin)>) {
         match &cond.kind {
             ExprKind::LetCond { names, expr } => {
                 // A binding unwrapped out of an observer-typed field
@@ -1226,7 +650,7 @@ impl<'a> Walker<'a> {
                 // the workspace-wide conflict rule.
                 let mut origin = self.origin_of(expr).origin.unwrap_or(Origin::Local);
                 if let Origin::Param { field: Some(f), .. } = &origin {
-                    if self.model.is_gate_field(f) {
+                    if self.ctx.model.is_gate_field(f) {
                         origin = Origin::Local;
                     }
                 }
@@ -1240,31 +664,6 @@ impl<'a> Walker<'a> {
             }
             ExprKind::Unary { expr } => self.cond_bindings(expr, out),
             _ => {}
-        }
-    }
-
-    /// Visits call arguments; closure arguments to thread-crossing
-    /// calls open a capture boundary.
-    fn visit_args(&mut self, args: &[Expr], crossing: bool) {
-        for a in args {
-            if crossing {
-                if let ExprKind::Closure { params, body } = &a.kind {
-                    if let Some(c) = self.check.as_mut() {
-                        c.boundaries.push(self.scopes.len());
-                    }
-                    self.scopes.push(BTreeMap::new());
-                    for p in params {
-                        self.bind(p.clone(), Origin::Local);
-                    }
-                    self.expr(body);
-                    self.scopes.pop();
-                    if let Some(c) = self.check.as_mut() {
-                        c.boundaries.pop();
-                    }
-                    continue;
-                }
-            }
-            self.expr(a);
         }
     }
 }
@@ -1307,22 +706,17 @@ fn field_chain(e: &Expr) -> (Option<String>, Vec<String>) {
 /// observer-classified optional field (`self.metrics.as_mut()`).
 fn is_gated_cond(cond: &Expr, model: &StateModel) -> bool {
     let mut gated = false;
-    walk_expr(cond, &mut |e| match &e.kind {
-        ExprKind::Field { recv, name } if GATE_FLAGS.contains(&name.as_str()) => {
-            if mentions_cfg(recv) {
-                gated = true;
+    walk_expr(cond, &mut |e| {
+        gated |= match &e.kind {
+            ExprKind::Field { recv, name } => {
+                GATE_FLAGS.contains(&name.as_str()) && mentions_cfg(recv)
             }
-        }
-        ExprKind::MethodCall { recv, method, .. }
-            if matches!(method.as_str(), "as_mut" | "as_ref" | "is_some") =>
-        {
-            if let ExprKind::Field { name, .. } = &recv.kind {
-                if model.is_gate_field(name) {
-                    gated = true;
-                }
+            ExprKind::MethodCall { recv, method, .. } => {
+                matches!(method.as_str(), "as_mut" | "as_ref" | "is_some")
+                    && matches!(&recv.kind, ExprKind::Field { name, .. } if model.is_gate_field(name))
             }
-        }
-        _ => {}
+            _ => false,
+        };
     });
     gated
 }
@@ -1356,32 +750,43 @@ fn describe_expr(e: &Expr) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::walk_fns;
+    use crate::callgraph::{build, Summaries};
+    use crate::dataflow::{check_fn, Ctx, FlowFamilies};
     use crate::lexer::lex;
     use crate::parser::parse_file;
-    use crate::symbols::parse_state_annotations;
+    use crate::report::Finding;
+    use crate::symbols::{parse_state_annotations, parse_unit_annotations, Symbols};
 
-    /// Full single-file pipeline: model, table, then the checker with
-    /// both sim and shard scope enabled.
-    fn run(src: &str) -> (StateModel, EffectsTable, Vec<EffFinding>) {
+    /// Full single-file pipeline: model, summaries, then the checker
+    /// with both sim and shard scope enabled.
+    fn run(src: &str) -> (StateModel, Summaries, Vec<Finding>) {
         let toks = lex(src);
         let file = parse_file(&toks);
-        let (anns, bad) = parse_state_annotations(&toks);
+        let (state_anns, bad) = parse_state_annotations(&toks);
         assert!(bad.is_empty(), "{bad:?}");
-        let inputs = [(&file, &anns)];
-        let model = StateModel::build(&inputs);
-        let table = build(&inputs, &model);
+        let anns = parse_unit_annotations(&toks).0;
+        let symbols = Symbols::build(&[(&file, &anns)]);
+        let model = StateModel::build(&[(&file, &state_anns)]);
+        let table = build(&[(&file, &anns)], &symbols, &model);
+        let ctx = Ctx {
+            symbols: &symbols,
+            anns: &anns,
+            model: &model,
+            summaries: &table,
+        };
         let mut out = Vec::new();
-        check_file(&file, &model, &table, true, true, &mut out);
+        walk_fns(&file, &mut |owner, f| {
+            out.extend(check_fn(f, owner, ctx, FlowFamilies::all(), true, "x.rs"));
+        });
         (model, table, out)
     }
 
     #[test]
     fn conflicting_field_classes_resolve_to_sim() {
-        let (model, _, _) = run(
-            "// simlint::state(observer)\n\
+        let (model, _, _) = run("// simlint::state(observer)\n\
              pub struct Probe { pub depth: u64 }\n\
-             pub struct Queue { pub depth: u64 }\n",
-        );
+             pub struct Queue { pub depth: u64 }\n");
         assert!(model.is_observer_type("Probe"));
         // `depth` is observer state on Probe but sim state on Queue;
         // the name-granular model must keep the load-bearing class.
@@ -1390,28 +795,27 @@ mod tests {
 
     #[test]
     fn annotated_static_is_observer_and_its_writes_vanish() {
-        let (model, table, _) = run(
-            "// simlint::state(observer)\n\
+        let (model, table, _) = run("// simlint::state(observer)\n\
              pub static SAMPLE_COUNT: AtomicU64 = AtomicU64::new(0);\n\
-             pub fn bump() {\n    SAMPLE_COUNT.fetch_add(1, Ordering::Relaxed);\n}\n",
-        );
+             pub fn bump() {\n    SAMPLE_COUNT.fetch_add(1, Ordering::Relaxed);\n}\n");
         assert_eq!(model.static_class("SAMPLE_COUNT"), StateClass::Observer);
         assert_eq!(table.get("bump").unwrap().describe(), "pure");
     }
 
     #[test]
     fn frozen_config_follows_clones() {
-        let (_, _, findings) = run(
-            "pub struct SystemConfig { pub retries: u64 }\n\
+        let (_, _, findings) = run("pub struct SystemConfig { pub retries: u64 }\n\
              pub fn setup() -> u64 {\n\
                  let cfg = SystemConfig { retries: 0 };\n\
                  let mut copy = cfg.clone();\n\
                  copy.validate();\n\
                  copy.retries = 3;\n\
                  copy.retries\n\
-             }\n",
-        );
-        let frozen: Vec<_> = findings.iter().filter(|f| f.rule == "frozen-config").collect();
+             }\n");
+        let frozen: Vec<_> = findings
+            .iter()
+            .filter(|f| f.rule == "frozen-config")
+            .collect();
         assert_eq!(frozen.len(), 1, "{findings:?}");
         assert_eq!(frozen[0].line, 6, "{frozen:?}");
     }
@@ -1442,7 +846,10 @@ mod tests {
         let (model, _, findings) = run(src);
         assert_eq!(model.field_class("metrics"), StateClass::Sim);
         assert!(model.is_gate_field("metrics"));
-        let purity: Vec<_> = findings.iter().filter(|f| f.rule == "observer-purity").collect();
+        let purity: Vec<_> = findings
+            .iter()
+            .filter(|f| f.rule == "observer-purity")
+            .collect();
         // Exactly one finding: the gated `self.step()` helper call.
         // `m.record(1)` writes the observer and must not be flagged.
         assert_eq!(purity.len(), 1, "{findings:?}");
@@ -1451,10 +858,8 @@ mod tests {
 
     #[test]
     fn render_marks_conflicting_arities() {
-        let (_, table, _) = run(
-            "pub mod a { pub fn poll(x: u64) -> u64 { x } }\n\
-             pub mod b { pub fn poll(x: u64, y: u64) -> u64 { x + y } }\n",
-        );
+        let (_, table, _) = run("pub mod a { pub fn poll(x: u64) -> u64 { x } }\n\
+             pub mod b { pub fn poll(x: u64, y: u64) -> u64 { x + y } }\n");
         assert!(table.get("poll").is_none());
         assert!(
             table.render().contains("poll: <conflicting arities>"),
@@ -1468,17 +873,18 @@ mod tests {
         // An observer type's own methods are observation context from
         // line one — no `cfg.trace` guard needed for their writes to
         // foreign sim state to count.
-        let (_, _, findings) = run(
-            "pub struct Tracer { pub events: u64 }\n\
+        let (_, _, findings) = run("pub struct Tracer { pub events: u64 }\n\
              pub struct Wheel { pub slots: u64 }\n\
              impl Tracer {\n\
                  pub fn poke(&mut self, w: &mut Wheel) {\n\
                      self.events += 1;\n\
                      w.slots += 1;\n\
                  }\n\
-             }\n",
-        );
-        let purity: Vec<_> = findings.iter().filter(|f| f.rule == "observer-purity").collect();
+             }\n");
+        let purity: Vec<_> = findings
+            .iter()
+            .filter(|f| f.rule == "observer-purity")
+            .collect();
         assert_eq!(purity.len(), 1, "{findings:?}");
         assert!(purity[0].message.contains("slots"), "{:?}", purity[0]);
     }

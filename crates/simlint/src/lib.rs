@@ -30,21 +30,21 @@
 //! The first nine are token-stream heuristics; the rest run on a real
 //! (if lightweight) syntax tree: [`parser`] builds an [`ast`] from the
 //! lexer's tokens, [`symbols`] collects cross-file facts (enum
-//! variants, hash-returning functions, declared time units),
-//! [`callgraph`] condenses the cross-file call graph into per-function
-//! taint summaries (a fixpoint over strongly connected components, so
-//! recursion terminates), and [`dataflow`] pushes taint, unit, and
-//! thread-crossing facts through each function body, consulting the
-//! summaries at call sites so nondeterminism laundered through helper
-//! functions is still caught. [`effects`] runs a second bottom-up pass
-//! over the same call graph, summarizing which state (struct fields,
-//! statics, `&mut` parameters) each function may *write*, classifies
-//! every written location as sim vs observer state, and proves
-//! observation-gated code cannot perturb the simulation — statically,
-//! where the golden-digest suite checks three seeds dynamically.
-//! Everything is hand-rolled (lexer
-//! included) because the build environment has no registry access: no
-//! `syn`, no `proc-macro2`, no `serde`.
+//! variants, hash-returning functions, declared time units), and
+//! [`effects`] classifies workspace state as sim vs observer. One
+//! summary engine then does the interprocedural work: [`callgraph`]
+//! solves one summary per function — taint masks, return unit, and the
+//! sim state (fields, statics, `&mut` parameters) it may *write* — as a
+//! fixpoint over the call graph's strongly connected components, and
+//! [`dataflow`]'s single body walker, run in summarize mode by that
+//! solver and in check mode by the rules, pushes taint, unit,
+//! thread-crossing and write facts through each function body. So
+//! nondeterminism laundered through helper functions is still caught,
+//! and observation-gated code is proven not to perturb the simulation
+//! — statically, where the golden-digest suite checks three seeds
+//! dynamically. Everything is hand-rolled (lexer included) because the
+//! build environment has no registry access: no `syn`, no
+//! `proc-macro2`, no `serde`.
 //!
 //! # Suppressions
 //!
@@ -434,25 +434,15 @@ pub fn lint_workspace_full(root: &Path) -> Result<(Report, Vec<FileFix>), Discov
     // Function summaries span exactly the files the dataflow rules will
     // visit (sim-crate libraries plus the bench library), so a helper
     // defined in one crate is understood at call sites in another.
-    let summary_inputs: Vec<(&ast::File, &UnitAnnotations)> = ws
+    let flow_inputs: Vec<(&ast::File, &UnitAnnotations)> = ws
         .files
         .iter()
         .zip(&parsed)
         .filter(|(f, _)| rules::flow_families_for(&f.crate_name, f.role).is_some())
         .map(|(_, (file, anns, _))| (file, anns))
         .collect();
-    let summaries = callgraph::build(&summary_inputs, &symbols);
+    let summaries = callgraph::build(&flow_inputs, &symbols, &state_model);
     report.dropped_symbols = summaries.dropped();
-
-    // Write-effect summaries cover the same flow-analyzed scope.
-    let effect_inputs: Vec<(&ast::File, &StateAnnotations)> = ws
-        .files
-        .iter()
-        .zip(&parsed)
-        .filter(|(f, _)| rules::flow_families_for(&f.crate_name, f.role).is_some())
-        .map(|(_, (file, _, state_anns))| (file, state_anns))
-        .collect();
-    let effects_table = effects::build(&effect_inputs, &state_model);
 
     // Pass 2: token rules + AST/dataflow rules per file, fanned out the
     // same way; per-file finding vectors are re-joined in file order.
@@ -476,7 +466,6 @@ pub fn lint_workspace_full(root: &Path) -> Result<(Report, Vec<FileFix>), Discov
             anns,
             &summaries,
             &state_model,
-            &effects_table,
         ));
         out
     });
@@ -593,8 +582,7 @@ pub fn lint_source(
         tokens: &tokens,
         is_crate_root: crate_root,
     };
-    let summaries = callgraph::build(&[(&file, &anns)], &symbols);
-    let effects_table = effects::build(&[(&file, &state_anns)], &state_model);
+    let summaries = callgraph::build(&[(&file, &anns)], &symbols, &state_model);
     raw.extend(check_file(&input));
     raw.extend(check_ast(
         &input,
@@ -603,7 +591,6 @@ pub fn lint_source(
         &anns,
         &summaries,
         &state_model,
-        &effects_table,
     ));
     if !rules::span_variants(&tokens).is_empty() {
         raw.extend(span_attribution(

@@ -9,7 +9,9 @@
 //! the event loop), not to be sound against adversarial code.
 
 use crate::ast;
-use crate::dataflow::{self, FlowRule};
+use crate::callgraph::Summaries;
+use crate::dataflow::{self, Ctx};
+use crate::effects::StateModel;
 use crate::lexer::{Token, TokenKind};
 use crate::report::Finding;
 use crate::symbols::{Symbols, UnitAnnotations};
@@ -972,122 +974,52 @@ pub fn flow_families_for(crate_name: &str, role: FileRole) -> Option<dataflow::F
 /// write-effect rules (`observer-purity`, `frozen-config`, the
 /// field-sensitive shard upgrades) on one parsed file. Scope comes from
 /// [`flow_families_for`]; `#[cfg(test)]` modules are skipped.
-/// `summaries` carries the workspace-wide taint summaries and
-/// `effects_table` the write-effect summaries, so both analyses track
-/// facts across call boundaries.
+/// `summaries` carries the workspace-wide function summaries, so the
+/// body walker tracks taint, units and writes across call boundaries.
 pub fn check_ast(
     input: &FileInput<'_>,
     file: &ast::File,
     symbols: &Symbols,
     anns: &UnitAnnotations,
-    summaries: &crate::callgraph::Summaries,
-    state_model: &crate::effects::StateModel,
-    effects_table: &crate::effects::EffectsTable,
+    summaries: &Summaries,
+    model: &StateModel,
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
     let Some(families) = flow_families_for(input.crate_name, input.role) else {
         return findings;
     };
-    // match-exhaustive is about sim-enum vocabulary, not dataflow: it
-    // applies exactly to sim-crate library code, not to the bench crate.
-    let sim_enums = input.in_sim_crate();
-    check_ast_items(
-        input,
-        &file.items,
+    // match-exhaustive is about sim-enum vocabulary, not dataflow, and
+    // the purity/frozen-config rules bind the simulation itself: both
+    // apply exactly to sim-crate library code, not to the bench crate.
+    let sim = input.in_sim_crate();
+    let ctx = Ctx {
         symbols,
         anns,
+        model,
         summaries,
-        families,
-        sim_enums,
-        &mut findings,
-    );
-    // The effect rules: purity/frozen-config bind sim-crate library
-    // code; the write-capture upgrade follows the shard family (the
-    // bench harness fans out too).
-    let mut eff = Vec::new();
-    crate::effects::check_file(
-        file,
-        state_model,
-        effects_table,
-        input.in_sim_crate(),
-        families.shard,
-        &mut eff,
-    );
-    for f in eff {
-        findings.push(Finding {
-            rule: f.rule,
-            path: input.rel_path.to_owned(),
-            line: f.line,
-            col: f.col,
-            message: f.message,
-            fingerprint: 0,
-        });
-    }
+    };
+    ast::walk_fns(file, &mut |owner, func| {
+        findings.extend(dataflow::check_fn(
+            func,
+            owner,
+            ctx,
+            families,
+            sim,
+            input.rel_path,
+        ));
+        if sim {
+            match_exhaustive(input, func, symbols, &mut findings);
+        }
+    });
     findings
 }
 
-#[allow(clippy::too_many_arguments)]
-fn check_ast_items(
-    input: &FileInput<'_>,
-    items: &[ast::Item],
-    symbols: &Symbols,
-    anns: &UnitAnnotations,
-    summaries: &crate::callgraph::Summaries,
-    families: dataflow::FlowFamilies,
-    sim_enums: bool,
-    out: &mut Vec<Finding>,
-) {
-    for item in items {
-        match &item.kind {
-            ast::ItemKind::Fn(func) => {
-                check_ast_fn(
-                    input, func, symbols, anns, summaries, families, sim_enums, out,
-                );
-            }
-            ast::ItemKind::Impl(imp) => check_ast_items(
-                input, &imp.items, symbols, anns, summaries, families, sim_enums, out,
-            ),
-            ast::ItemKind::Mod(m) if !m.cfg_test => {
-                check_ast_items(
-                    input, &m.items, symbols, anns, summaries, families, sim_enums, out,
-                );
-            }
-            _ => {}
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn check_ast_fn(
+fn match_exhaustive(
     input: &FileInput<'_>,
     func: &ast::Func,
     symbols: &Symbols,
-    anns: &UnitAnnotations,
-    summaries: &crate::callgraph::Summaries,
-    families: dataflow::FlowFamilies,
-    sim_enums: bool,
     out: &mut Vec<Finding>,
 ) {
-    let mut flow = Vec::new();
-    dataflow::analyze_fn(func, symbols, anns, summaries, families, &mut flow);
-    for f in flow {
-        out.push(Finding {
-            rule: match f.rule {
-                FlowRule::Taint => "nondet-taint",
-                FlowRule::Unit => "time-unit",
-                FlowRule::CrossThread => "shard-cross-thread",
-                FlowRule::OrderAgg => "shard-order-agg",
-            },
-            path: input.rel_path.to_owned(),
-            line: f.line,
-            col: f.col,
-            message: f.message,
-            fingerprint: 0,
-        });
-    }
-    if !sim_enums {
-        return;
-    }
     let Some(body) = &func.body else { return };
     ast::walk_block_exprs(body, &mut |e| {
         let ast::ExprKind::Match { arms, .. } = &e.kind else {

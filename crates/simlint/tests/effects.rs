@@ -9,10 +9,11 @@
 use std::fs;
 use std::path::PathBuf;
 
-use mlb_simlint::effects::{self, StateModel};
+use mlb_simlint::callgraph;
+use mlb_simlint::effects::StateModel;
 use mlb_simlint::lexer::lex;
 use mlb_simlint::parser::parse_file;
-use mlb_simlint::symbols::parse_state_annotations;
+use mlb_simlint::symbols::{parse_state_annotations, parse_unit_annotations, Symbols};
 use mlb_simlint::{lint_workspace, lint_workspace_full};
 
 /// The fixture workspace the snapshot is computed over: one observer
@@ -80,9 +81,9 @@ fn effect_summaries_match_the_golden_snapshot() {
     let (anns, malformed) = parse_state_annotations(&tokens);
     assert!(malformed.is_empty(), "fixture annotations must parse");
 
-    let inputs = [(&file, &anns)];
-    let model = StateModel::build(&inputs);
-    let table = effects::build(&inputs, &model);
+    let model = StateModel::build(&[(&file, &anns)]);
+    let units = [(&file, &parse_unit_annotations(&tokens).0)];
+    let table = callgraph::build(&units, &Symbols::build(&units), &model);
 
     // What each line asserts:
     //   advance — a direct `self` field write is a sim effect.

@@ -141,13 +141,16 @@ fn clean_fixtures_are_clean() {
 /// *exact* number of findings of the owning rule each must produce.
 /// Exactness matters for the interprocedural ones: a finding per hop
 /// (instead of one at the sink) would drown real reports in echoes.
-const EXTRA_FIXTURES: [(&str, &str, usize); 10] = [
+const EXTRA_FIXTURES: [(&str, &str, usize); 12] = [
     ("nondet-taint", "two_hop_trigger", 1),
     ("nondet-taint", "two_hop_clean", 0),
     // A sim-state write laundered through two helper hops reports once,
     // at the outermost observation-gated call.
     ("observer-purity", "two_hop_trigger", 1),
     ("observer-purity", "two_hop_clean", 0),
+    // The same through a mutually recursive pair (one call-graph SCC).
+    ("observer-purity", "recursive_trigger", 1),
+    ("observer-purity", "recursive_clean", 0),
     // Declared units propagate through function RETURN values.
     ("time-unit", "return_unit_trigger", 1),
     ("time-unit", "return_unit_clean", 0),
