@@ -12,13 +12,17 @@
 //!   --trace    add the `trace` artifact: re-run the unstable
 //!              total_request configuration with per-request tracing on
 //!              and dump reconstructed VLRT causal chains + attribution
+//!   --prof     profile the shared experiment runs behind fig1..fig13
+//!              and table1: print each run's kernel profile (`prof.*`)
+//!              and write it to DIR/prof_<run>.jsonl. The other
+//!              artifacts run their own sweeps, unprofiled
 //!   --help     this text
 //! ```
 //!
 //! Each artifact prints ASCII charts plus a "shape check vs paper"
 //! section, and writes its raw series as CSV under `--out`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use mlb_bench::{
@@ -30,6 +34,7 @@ use mlb_bench::{
 struct Args {
     secs: u64,
     out: PathBuf,
+    prof: bool,
     artifacts: Vec<String>,
 }
 
@@ -40,6 +45,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut secs = 180u64;
     let mut out = PathBuf::from("results");
+    let mut prof = false;
     let mut artifacts = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -55,10 +61,13 @@ fn parse_args() -> Result<Args, String> {
                 out = PathBuf::from(it.next().ok_or("--out needs a value")?);
             }
             "--trace" => artifacts.push("trace".to_string()),
+            "--prof" => prof = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: repro [--secs N] [--out DIR] [--trace] \
+                    "usage: repro [--secs N] [--out DIR] [--trace] [--prof] \
                      [fig1..fig13|table1|ablation-*|ext-*|all|ablations|extensions|trace|tournament|trend ...]\n\
+                     --prof: print the kernel profile of each shared fig/table run and \
+                     write it to DIR/prof_<run>.jsonl\n\
                      tournament: policy × scenario scorecard, writes BENCH_policies.json \
                      (MLB_TOURNAMENT=smoke for the CI-sized roster sweep)\n\
                      trend: perf-trajectory dashboard + regression gate over BENCH_history.jsonl \
@@ -98,8 +107,31 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args {
         secs,
         out,
+        prof,
         artifacts,
     })
+}
+
+/// Prints each shared run's kernel profile and writes it as
+/// `prof_<run>.jsonl` under `out`.
+fn write_profiles(cache: &RunCache, runs: &[RunKey], out: &Path) -> Result<(), String> {
+    std::fs::create_dir_all(out).map_err(|e| format!("creating {}: {e}", out.display()))?;
+    for &key in runs {
+        let report = cache
+            .get(key)
+            .profile
+            .as_ref()
+            .expect("--prof runs record a profile");
+        println!("{}", "=".repeat(100));
+        println!("PROF — {}", key.slug());
+        println!("{}", "=".repeat(100));
+        println!("{}", report.render());
+        let path = out.join(format!("prof_{}.jsonl", key.slug()));
+        std::fs::write(&path, report.to_jsonl())
+            .map_err(|e| format!("writing {}: {e}", path.display()))?;
+        println!("[jsonl] {}\n", path.display());
+    }
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -134,13 +166,22 @@ fn main() -> ExitCode {
     let cache = if needed.is_empty() {
         RunCache::default()
     } else {
-        RunCache::execute(&needed, args.secs)
+        RunCache::execute(&needed, args.secs, args.prof)
     };
     if !needed.is_empty() {
         eprintln!(
             "repro: shared experiments finished in {:.1}s wall\n",
             started.elapsed().as_secs_f64()
         );
+    }
+    if args.prof && needed.is_empty() {
+        eprintln!("repro: --prof profiles the shared fig1..fig13/table1 runs; none requested");
+    }
+    if args.prof {
+        if let Err(e) = write_profiles(&cache, &needed, &args.out) {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
     }
 
     let mut trend_gate_failed = false;

@@ -219,7 +219,7 @@ fn find_isolated_spike(t: &Telemetry) -> (usize, usize) {
 /// returns `(overall_share_pct, max_single_window_share_pct)`.
 fn assignment_share(t: &Telemetry, frozen: usize, lo: usize, hi: usize) -> (f64, f64) {
     let per_tomcat: Vec<Vec<f64>> = (0..t.tomcat_queues.len())
-        .map(|ti| slice(&t.distribution[0][ti].to_f64(), lo, hi))
+        .map(|ti| slice(&t.distribution[ti].to_f64(), lo, hi))
         .collect();
     let mut tot_all = 0.0;
     let mut tot_frozen = 0.0;
@@ -601,7 +601,7 @@ fn instability_figure(id: &'static str, title: &str, r: &ExperimentResult) -> Fi
     text.push('\n');
 
     let dist: Vec<Vec<f64>> = (0..t.lb_values.len())
-        .map(|ti| slice(&t.distribution[0][ti].to_f64(), lo, hi))
+        .map(|ti| slice(&t.distribution[ti].to_f64(), lo, hi))
         .collect();
     let series: Vec<(String, &[f64])> = dist
         .iter()
@@ -755,7 +755,7 @@ fn distribution_figure(id: &'static str, title: &str, r: &ExperimentResult) -> F
     text.push('\n');
 
     let dist: Vec<Vec<f64>> = (0..t.tomcat_queues.len())
-        .map(|ti| slice(&t.distribution[0][ti].to_f64(), lo, hi))
+        .map(|ti| slice(&t.distribution[ti].to_f64(), lo, hi))
         .collect();
     let dseries: Vec<(String, &[f64])> = dist
         .iter()
@@ -779,7 +779,7 @@ fn distribution_figure(id: &'static str, title: &str, r: &ExperimentResult) -> F
     let min_share = {
         let (blo, bhi) = zoom_bounds(center, 4, len);
         let per_tomcat: Vec<Vec<f64>> = (0..t.tomcat_queues.len())
-            .map(|ti| slice(&t.distribution[0][ti].to_f64(), blo, bhi))
+            .map(|ti| slice(&t.distribution[ti].to_f64(), blo, bhi))
             .collect();
         let mut min = 100.0f64;
         for i in 0..(bhi - blo) {

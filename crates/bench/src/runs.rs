@@ -111,17 +111,22 @@ pub struct RunCache {
 impl RunCache {
     /// Executes the given runs in parallel (scoped threads, one per run)
     /// at `secs` of simulated time each, with progress lines on stderr.
+    /// With `prof`, every run also records its kernel self-profile
+    /// ([`ExperimentResult::profile`]); profiling only observes, so the
+    /// results are otherwise identical.
     ///
     /// # Panics
     ///
     /// Panics if any preset configuration fails validation (a bug).
-    pub fn execute(keys: &[RunKey], secs: u64) -> Self {
+    pub fn execute(keys: &[RunKey], secs: u64, prof: bool) -> Self {
         let mut unique: Vec<RunKey> = keys.to_vec();
         unique.sort();
         unique.dedup();
         let results: HashMap<RunKey, ExperimentResult> = crate::par_runs(unique, |key| {
             let start = std::time::Instant::now();
-            let result = run_experiment(key.config(secs)).expect("preset config is valid");
+            let mut cfg = key.config(secs);
+            cfg.prof = prof;
+            let result = run_experiment(cfg).expect("preset config is valid");
             eprintln!(
                 "  [{:<20}] {:>7} requests, {:>3} millibottlenecks, {:>6} drops ({:.1}s wall)",
                 key.slug(),

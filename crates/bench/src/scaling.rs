@@ -255,7 +255,8 @@ fn run_pair(scale: usize, seed: u64, secs: u64, slices: u64) -> Vec<(QueueKind, 
     for i in 1..=slices {
         for lane in &mut lanes {
             let start = std::time::Instant::now();
-            lane.sim.run_until(SimTime::from_micros(total_us * i / slices));
+            lane.sim
+                .run_until(SimTime::from_micros(total_us * i / slices));
             lane.wall_secs += start.elapsed().as_secs_f64();
             lane.peak_queue = lane.peak_queue.max(lane.sim.pending());
             if i == mid_slice {
@@ -275,8 +276,7 @@ fn run_pair(scale: usize, seed: u64, secs: u64, slices: u64) -> Vec<(QueueKind, 
                 peak_queue: lane.peak_queue,
                 completed: lane.sim.model().telemetry().response.total(),
                 second_half_arena_allocs: arena.allocs - lane.mid_arena_allocs,
-                second_half_node_allocs: wheel.map_or(0, |w| w.node_allocs)
-                    - lane.mid_node_allocs,
+                second_half_node_allocs: wheel.map_or(0, |w| w.node_allocs) - lane.mid_node_allocs,
                 wheel,
                 arena,
             };
@@ -296,7 +296,13 @@ fn run_pair(scale: usize, seed: u64, secs: u64, slices: u64) -> Vec<(QueueKind, 
 /// service, or telemetry work happens between queue touches. The
 /// wheel-over-heap ratio of this number is the kernel speedup proper;
 /// the full-system sweep shows how much of it survives model cost.
-pub fn hold_ops_per_sec(kind: QueueKind, dist: HoldDist, pending: usize, ops: u64, seed: u64) -> f64 {
+pub fn hold_ops_per_sec(
+    kind: QueueKind,
+    dist: HoldDist,
+    pending: usize,
+    ops: u64,
+    seed: u64,
+) -> f64 {
     // Deterministic xorshift64*, shaped per `dist`.
     let mut state = seed | 1;
     let mut next_us = move || {
@@ -308,7 +314,7 @@ pub fn hold_ops_per_sec(kind: QueueKind, dist: HoldDist, pending: usize, ops: u6
             // 1-in-16 far (7–9 s think-timer-like), else sub-ms service
             // hop — the n-tier model's per-request event mix.
             HoldDist::Bimodal => {
-                if state % 16 == 0 {
+                if state.is_multiple_of(16) {
                     7_000_000 + (state >> 8) % 2_000_000
                 } else {
                     (state >> 8) % 1_000
@@ -387,14 +393,8 @@ pub fn run_scale_sweep(cfg: &ScaleSweepConfig) -> ScaleSweepReport {
                 arena_allocs: stats.iter().map(|s| s.arena.allocs).sum(),
                 arena_reuses: stats.iter().map(|s| s.arena.reuses).sum(),
                 arena_peak_live: stats.iter().map(|s| s.arena.peak_live).max().unwrap_or(0),
-                second_half_arena_allocs: stats
-                    .iter()
-                    .map(|s| s.second_half_arena_allocs)
-                    .sum(),
-                second_half_node_allocs: stats
-                    .iter()
-                    .map(|s| s.second_half_node_allocs)
-                    .sum(),
+                second_half_arena_allocs: stats.iter().map(|s| s.second_half_arena_allocs).sum(),
+                second_half_node_allocs: stats.iter().map(|s| s.second_half_node_allocs).sum(),
             };
             eprintln!(
                 "  [scale {:>3}x {:<5}] {:>10.0} events/s, {:>6.3} wall-s/sim-s, peak queue {:>8}, 2nd-half allocs arena {} / nodes {}",
@@ -599,7 +599,10 @@ impl ScaleSweepReport {
                 ("arena_allocs", p.arena_allocs as f64),
                 ("arena_reuses", p.arena_reuses as f64),
                 ("arena_peak_live", p.arena_peak_live as f64),
-                ("second_half_arena_allocs", p.second_half_arena_allocs as f64),
+                (
+                    "second_half_arena_allocs",
+                    p.second_half_arena_allocs as f64,
+                ),
             ];
             if p.queue == QueueKind::Wheel {
                 metrics.extend([

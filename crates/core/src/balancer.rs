@@ -42,7 +42,7 @@ impl fmt::Display for InvalidConfigError {
 impl Error for InvalidConfigError {}
 
 /// Lifetime counters of one balancer instance.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BalancerStats {
     /// Successful selections.
     pub selections: u64,
@@ -115,6 +115,9 @@ pub struct Balancer {
     config: BalancerConfig,
     lb: LbValues,
     states: Vec<BackendState>,
+    /// `states[i].available_at(&config)`, kept dense so a selection
+    /// reads one contiguous array instead of every `BackendState`.
+    available_at: Vec<SimTime>,
     /// Per-backend stall signal from the online millibottleneck
     /// detector; consulted only by [`PolicyKind::DetectorDriven`].
     stall_signals: Vec<bool>,
@@ -153,6 +156,7 @@ impl Balancer {
         Ok(Balancer {
             lb,
             states: vec![BackendState::new(); backends],
+            available_at: vec![SimTime::ZERO; backends],
             stall_signals: vec![false; backends],
             rr_cursor: 0,
             last_decay: SimTime::ZERO,
@@ -212,29 +216,21 @@ impl Balancer {
     pub fn select(&mut self, now: SimTime, exclude: &[bool]) -> Option<BackendId> {
         assert_eq!(exclude.len(), self.lb.len(), "exclude mask size mismatch");
         self.maybe_decay(now);
-        let mut eligible: Vec<bool> = (0..self.lb.len())
-            .map(|i| {
-                !exclude[i] && self.states[i].effective(now, &self.config) == WorkerState::Available
-            })
-            .collect();
-        if self.config.policy == PolicyKind::DetectorDriven {
-            // Veto backends inside a flagged stall window. If that would
-            // leave no candidate at all, ignore the signals: ranking by
-            // current load among uniformly-stalled backends beats
-            // refusing to route.
-            let masked: Vec<bool> = eligible
-                .iter()
-                .zip(&self.stall_signals)
-                .map(|(&e, &s)| e && !s)
-                .collect();
-            if masked.iter().any(|&e| e) {
-                if masked != eligible {
-                    self.stats.stall_vetoes += 1;
-                }
-                eligible = masked;
-            }
+        // DetectorDriven vetoes backends inside a flagged stall window.
+        // If that would leave no candidate at all, the signals are
+        // ignored: ranking by current load among uniformly-stalled
+        // backends beats refusing to route.
+        let veto = self.config.policy == PolicyKind::DetectorDriven;
+        let (available_at, signals) = (&self.available_at, &self.stall_signals);
+        let (pick, vetoed) = self.lb.pick(
+            self.rr_cursor,
+            |i| !exclude[i] && now >= available_at[i],
+            |i| veto && signals[i],
+        );
+        if vetoed {
+            self.stats.stall_vetoes += 1;
         }
-        match self.lb.select_min(&eligible, self.rr_cursor) {
+        match pick {
             Some(b) => {
                 self.rr_cursor = (b.0 + 1) % self.lb.len();
                 self.stats.selections += 1;
@@ -268,6 +264,7 @@ impl Balancer {
             EndpointAdvice::GiveUp => {
                 self.stats.giveups += 1;
                 self.states[b.0].mark_failed(now, &self.config);
+                self.refresh_available_at(b);
             }
         }
         a
@@ -278,6 +275,7 @@ impl Balancer {
     /// the policy's assignment hook.
     pub fn endpoint_acquired(&mut self, _now: SimTime, b: BackendId) {
         self.states[b.0].mark_alive();
+        self.refresh_available_at(b);
         self.lb.on_assign(b, 0);
         self.stats.assignments[b.0] += 1;
     }
@@ -293,6 +291,7 @@ impl Balancer {
         latency: SimDuration,
     ) {
         self.states[b.0].mark_alive();
+        self.refresh_available_at(b);
         self.lb.on_complete(b, traffic_bytes, latency);
         self.stats.completions[b.0] += 1;
     }
@@ -303,6 +302,7 @@ impl Balancer {
     pub fn probe_failed(&mut self, now: SimTime, b: BackendId) {
         self.stats.probe_failures += 1;
         self.states[b.0].mark_failed(now, &self.config);
+        self.refresh_available_at(b);
         self.lb.on_abort(b);
     }
 
@@ -323,6 +323,11 @@ impl Balancer {
     pub fn request_aborted(&mut self, b: BackendId) {
         self.lb.on_abort(b);
         self.stats.aborts += 1;
+    }
+
+    /// Re-derives the dense `available_at` entry after a state change.
+    fn refresh_available_at(&mut self, b: BackendId) {
+        self.available_at[b.0] = self.states[b.0].available_at(&self.config);
     }
 
     fn maybe_decay(&mut self, now: SimTime) {
@@ -607,5 +612,348 @@ mod tests {
     #[should_panic(expected = "at least one backend")]
     fn zero_backends_panics() {
         let _ = Balancer::new(BalancerConfig::default(), 0);
+    }
+}
+
+/// Differential test of [`Balancer::select`] against the selection it
+/// replaced: a per-candidate `effective()` call into a freshly allocated
+/// eligibility mask, a second masked copy for the stall veto, and
+/// `select_min` with a `%` per candidate and a fresh candidate `Vec` for
+/// `Random`/`Jsq`.
+#[cfg(test)]
+mod differential {
+    use super::*;
+    use crate::mechanism::MechanismKind;
+    use mlb_simkernel::rng::SplitMix64;
+    use proptest::prelude::*;
+
+    /// The balancer before the dense `available_at` scan. Score upkeep
+    /// goes through the same [`LbValues`] hooks; selection and its RNG
+    /// stream are the old code, copied verbatim.
+    struct Oracle {
+        config: BalancerConfig,
+        lb: LbValues,
+        rng: SplitMix64,
+        states: Vec<BackendState>,
+        stall_signals: Vec<bool>,
+        rr_cursor: usize,
+        last_decay: SimTime,
+        stats: BalancerStats,
+    }
+
+    impl Oracle {
+        fn new(config: BalancerConfig, backends: usize) -> Self {
+            let mut lb = LbValues::with_seed(config.policy, backends, config.lb_mult, config.seed);
+            if let Some(w) = &config.weights {
+                lb.set_weights(w);
+            }
+            Oracle {
+                lb,
+                rng: SplitMix64::new(config.seed),
+                states: vec![BackendState::new(); backends],
+                stall_signals: vec![false; backends],
+                rr_cursor: 0,
+                last_decay: SimTime::ZERO,
+                stats: BalancerStats::new(backends),
+                config,
+            }
+        }
+
+        fn select(&mut self, now: SimTime, exclude: &[bool]) -> Option<BackendId> {
+            assert_eq!(exclude.len(), self.lb.len(), "exclude mask size mismatch");
+            self.maybe_decay(now);
+            let mut eligible: Vec<bool> = (0..self.lb.len())
+                .map(|i| {
+                    !exclude[i]
+                        && self.states[i].effective(now, &self.config) == WorkerState::Available
+                })
+                .collect();
+            if self.config.policy == PolicyKind::DetectorDriven {
+                let masked: Vec<bool> = eligible
+                    .iter()
+                    .zip(&self.stall_signals)
+                    .map(|(&e, &s)| e && !s)
+                    .collect();
+                if masked.iter().any(|&e| e) {
+                    if masked != eligible {
+                        self.stats.stall_vetoes += 1;
+                    }
+                    eligible = masked;
+                }
+            }
+            match self.select_min(&eligible, self.rr_cursor) {
+                Some(b) => {
+                    self.rr_cursor = (b.0 + 1) % self.lb.len();
+                    self.stats.selections += 1;
+                    Some(b)
+                }
+                None => {
+                    self.stats.no_candidate += 1;
+                    None
+                }
+            }
+        }
+
+        fn select_min(&mut self, eligible: &[bool], cursor: usize) -> Option<BackendId> {
+            let scores = self.lb.values();
+            if self.lb.kind() == PolicyKind::Random {
+                let candidates: Vec<usize> = (0..scores.len()).filter(|&i| eligible[i]).collect();
+                if candidates.is_empty() {
+                    return None;
+                }
+                let pick = self.rng.next_bounded(candidates.len() as u64) as usize;
+                return Some(BackendId(candidates[pick]));
+            }
+            if let PolicyKind::Jsq(d) = self.lb.kind() {
+                let mut candidates: Vec<usize> =
+                    (0..scores.len()).filter(|&i| eligible[i]).collect();
+                if candidates.is_empty() {
+                    return None;
+                }
+                let d = usize::from(d.max(1)).min(candidates.len());
+                for k in 0..d {
+                    let j = k + self.rng.next_bounded((candidates.len() - k) as u64) as usize;
+                    candidates.swap(k, j);
+                }
+                let mut best = candidates[0];
+                for &i in &candidates[1..d] {
+                    if scores[i] < scores[best] {
+                        best = i;
+                    }
+                }
+                return Some(BackendId(best));
+            }
+            let n = scores.len();
+            let mut best: Option<(u64, usize)> = None;
+            for offset in 0..n {
+                let i = (cursor + offset) % n;
+                if !eligible[i] {
+                    continue;
+                }
+                let v = scores[i];
+                match best {
+                    Some((bv, _)) if v >= bv => {}
+                    _ => best = Some((v, i)),
+                }
+            }
+            best.map(|(_, i)| BackendId(i))
+        }
+
+        fn endpoint_failed(
+            &mut self,
+            now: SimTime,
+            b: BackendId,
+            elapsed: SimDuration,
+        ) -> EndpointAdvice {
+            let a = advice(
+                self.config.mechanism,
+                elapsed,
+                self.config.cache_acquire_timeout,
+                self.config.retry_sleep,
+            );
+            match a {
+                EndpointAdvice::RetryAfter(_) => self.stats.retries_advised += 1,
+                EndpointAdvice::GiveUp => {
+                    self.stats.giveups += 1;
+                    self.states[b.0].mark_failed(now, &self.config);
+                }
+            }
+            a
+        }
+
+        fn endpoint_acquired(&mut self, b: BackendId) {
+            self.states[b.0].mark_alive();
+            self.lb.on_assign(b, 0);
+            self.stats.assignments[b.0] += 1;
+        }
+
+        fn response_received(&mut self, b: BackendId, bytes: u64, latency: SimDuration) {
+            self.states[b.0].mark_alive();
+            self.lb.on_complete(b, bytes, latency);
+            self.stats.completions[b.0] += 1;
+        }
+
+        fn probe_failed(&mut self, now: SimTime, b: BackendId) {
+            self.stats.probe_failures += 1;
+            self.states[b.0].mark_failed(now, &self.config);
+            self.lb.on_abort(b);
+        }
+
+        fn request_aborted(&mut self, b: BackendId) {
+            self.lb.on_abort(b);
+            self.stats.aborts += 1;
+        }
+
+        fn maybe_decay(&mut self, now: SimTime) {
+            if let Some(interval) = self.config.decay_interval {
+                while now.saturating_since(self.last_decay) >= interval {
+                    self.lb.decay();
+                    self.last_decay += interval;
+                }
+            }
+        }
+    }
+
+    /// One balancer callback. Backend fields are reduced modulo the
+    /// backend count when applied.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Select with this exclude bit mask; acquire the pick if `acquire`.
+        Select {
+            exclude: u16,
+            acquire: bool,
+        },
+        Acquire(usize),
+        Respond {
+            b: usize,
+            bytes: u16,
+            latency_us: u16,
+        },
+        /// A failed acquisition; `wait` picks the elapsed polling time.
+        Fail {
+            b: usize,
+            wait: usize,
+        },
+        ProbeFail(usize),
+        Abort(usize),
+        Stall {
+            b: usize,
+            on: bool,
+        },
+        Advance(u16),
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (any::<u16>(), any::<bool>())
+                .prop_map(|(exclude, acquire)| Op::Select { exclude, acquire }),
+            (any::<u16>(), any::<bool>())
+                .prop_map(|(exclude, acquire)| Op::Select { exclude, acquire }),
+            (0usize..16).prop_map(Op::Acquire),
+            (0usize..16, any::<u16>(), any::<u16>()).prop_map(|(b, bytes, latency_us)| {
+                Op::Respond {
+                    b,
+                    bytes,
+                    latency_us,
+                }
+            }),
+            (0usize..16, 0usize..4).prop_map(|(b, wait)| Op::Fail { b, wait }),
+            (0usize..16).prop_map(Op::ProbeFail),
+            (0usize..16).prop_map(Op::Abort),
+            (0usize..16, any::<bool>()).prop_map(|(b, on)| Op::Stall { b, on }),
+            (0u16..3_000).prop_map(Op::Advance),
+        ]
+    }
+
+    /// Every policy kind, `Jsq` at a sample smaller than, equal to and
+    /// above typical backend counts.
+    fn all_policies() -> Vec<PolicyKind> {
+        let mut all = PolicyKind::all_extended().to_vec();
+        all.extend([
+            PolicyKind::Jsq(1),
+            PolicyKind::Jsq(2),
+            PolicyKind::Jsq(5),
+            PolicyKind::DetectorDriven,
+        ]);
+        all
+    }
+
+    fn us(micros: u64) -> SimDuration {
+        SimDuration::from_micros(micros)
+    }
+
+    proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn select_matches_the_old_selection(
+            setup in (
+                proptest::sample::select(all_policies()),
+                proptest::sample::select(vec![
+                    MechanismKind::Original,
+                    MechanismKind::SkipToBusy,
+                    MechanismKind::ProbeFirst,
+                ]),
+                1usize..10,
+                any::<u64>(),
+            ),
+            holds in (
+                proptest::sample::select(vec![0, 1, 1_000, 2_500, u64::MAX]),
+                proptest::sample::select(vec![0, 1_000, 7_000, u64::MAX]),
+                1u32..4,
+                proptest::sample::select(vec![0u64, 700, 4_000]),
+            ),
+            ops in proptest::collection::vec(op_strategy(), 1..300),
+        ) {
+            let (policy, mechanism, backends, weight_seed) = setup;
+            let (busy_hold, error_recover, error_threshold, decay) = holds;
+            let mut cfg = BalancerConfig::with(policy, mechanism);
+            cfg.busy_hold = us(busy_hold);
+            cfg.error_recover = us(error_recover);
+            cfg.error_threshold = error_threshold;
+            cfg.decay_interval = (decay > 0).then(|| us(decay));
+            cfg.seed = weight_seed.rotate_left(17);
+            if weight_seed % 3 == 0 {
+                let mut w = SplitMix64::new(weight_seed);
+                cfg.weights = Some((0..backends).map(|_| 1 + w.next_bounded(4)).collect());
+            }
+            let mut lb = Balancer::new(cfg.clone(), backends).unwrap();
+            let mut oracle = Oracle::new(cfg, backends);
+            let waits = [0, 100_000, 300_000, 450_000];
+            let mut now = SimTime::ZERO;
+            for (step, op) in ops.iter().enumerate() {
+                match *op {
+                    Op::Select { exclude, acquire } => {
+                        let mask: Vec<bool> =
+                            (0..backends).map(|i| exclude >> i & 1 == 1).collect();
+                        let got = lb.select(now, &mask);
+                        let want = oracle.select(now, &mask);
+                        prop_assert_eq!(got, want, "pick at step {} ({:?})", step, op);
+                        if let (Some(b), true) = (got, acquire) {
+                            lb.endpoint_acquired(now, b);
+                            oracle.endpoint_acquired(b);
+                        }
+                    }
+                    Op::Acquire(b) => {
+                        let b = BackendId(b % backends);
+                        lb.endpoint_acquired(now, b);
+                        oracle.endpoint_acquired(b);
+                    }
+                    Op::Respond { b, bytes, latency_us } => {
+                        let b = BackendId(b % backends);
+                        let latency = us(u64::from(latency_us));
+                        lb.response_received(now, b, u64::from(bytes), latency);
+                        oracle.response_received(b, u64::from(bytes), latency);
+                    }
+                    Op::Fail { b, wait } => {
+                        let b = BackendId(b % backends);
+                        let elapsed = us(waits[wait]);
+                        prop_assert_eq!(
+                            lb.endpoint_failed(now, b, elapsed),
+                            oracle.endpoint_failed(now, b, elapsed)
+                        );
+                    }
+                    Op::ProbeFail(b) => {
+                        let b = BackendId(b % backends);
+                        lb.probe_failed(now, b);
+                        oracle.probe_failed(now, b);
+                    }
+                    Op::Abort(b) => {
+                        let b = BackendId(b % backends);
+                        lb.request_aborted(b);
+                        oracle.request_aborted(b);
+                    }
+                    Op::Stall { b, on } => {
+                        let b = BackendId(b % backends);
+                        lb.signal_stall(b, on);
+                        oracle.stall_signals[b.0] = on;
+                    }
+                    Op::Advance(dt) => now += us(u64::from(dt)),
+                }
+                prop_assert_eq!(lb.rr_cursor, oracle.rr_cursor, "cursor at step {}", step);
+                prop_assert_eq!(&lb.stats, &oracle.stats, "stats at step {}", step);
+                prop_assert_eq!(lb.lb_values(), oracle.lb.values(), "scores at step {}", step);
+            }
+        }
     }
 }

@@ -199,6 +199,9 @@ pub struct LbValues {
     /// Cached ranking scores (recomputed on every mutation).
     scores: Vec<u64>,
     rng: SplitMix64,
+    /// Eligible backends gathered by `Random`/`Jsq` picks; kept across
+    /// picks so sampling never allocates.
+    candidates: Vec<usize>,
 }
 
 impl LbValues {
@@ -230,6 +233,7 @@ impl LbValues {
             ewma_rem: vec![0; backends],
             scores: vec![0; backends],
             rng: SplitMix64::new(seed),
+            candidates: Vec::with_capacity(backends),
         }
     }
 
@@ -399,28 +403,74 @@ impl LbValues {
             self.scores.len(),
             "eligibility mask size mismatch"
         );
-        if self.kind == PolicyKind::Random {
-            let candidates: Vec<usize> = (0..self.scores.len()).filter(|&i| eligible[i]).collect();
-            if candidates.is_empty() {
-                return None;
-            }
-            // An unbiased bounded draw: `next_u64() as usize % len` has
-            // modulo bias and truncates to 32 bits on 32-bit targets.
-            let pick = self.rng.next_bounded(candidates.len() as u64) as usize;
-            return Some(BackendId(candidates[pick]));
+        self.pick(cursor % self.scores.len(), |i| eligible[i], |_| false)
+            .0
+    }
+
+    /// The one selection pass, shared by [`LbValues::select_min`] and
+    /// `Balancer::select`. It walks `cursor..n` then `0..cursor` once
+    /// and keeps the first minimum score in that order (strict `<`, so
+    /// ties go round-robin). `stalled(i)` splits the eligible backends:
+    /// an un-stalled minimum wins if there is one, and the returned flag
+    /// says a stalled backend was passed over for it; if every eligible
+    /// backend is stalled, the minimum among them wins and the flag is
+    /// `false`.
+    ///
+    /// `Random` and `Jsq(d)` ignore `cursor` and `stalled`: they gather
+    /// the eligible backends in index order into a buffer kept across
+    /// calls and draw from it, so no policy allocates per pick.
+    pub(crate) fn pick(
+        &mut self,
+        cursor: usize,
+        eligible: impl Fn(usize) -> bool,
+        stalled: impl Fn(usize) -> bool,
+    ) -> (Option<BackendId>, bool) {
+        let n = self.scores.len();
+        if matches!(self.kind, PolicyKind::Random | PolicyKind::Jsq(_)) {
+            self.candidates.clear();
+            self.candidates.extend((0..n).filter(|&i| eligible(i)));
+            return (self.sample(), false);
         }
-        if let PolicyKind::Jsq(d) = self.kind {
-            let mut candidates: Vec<usize> =
-                (0..self.scores.len()).filter(|&i| eligible[i]).collect();
-            if candidates.is_empty() {
-                return None;
+        let scores = &self.scores[..n];
+        let mut best: Option<(u64, usize)> = None;
+        let mut best_stalled: Option<(u64, usize)> = None;
+        for range in [cursor..n, 0..cursor] {
+            for i in range {
+                if !eligible(i) {
+                    continue;
+                }
+                // Strict `<` keeps the first (round-robin-ordered) minimum.
+                let v = scores[i];
+                if stalled(i) {
+                    if best_stalled.is_none_or(|(bv, _)| v < bv) {
+                        best_stalled = Some((v, i));
+                    }
+                } else if best.is_none_or(|(bv, _)| v < bv) {
+                    best = Some((v, i));
+                }
             }
+        }
+        match best {
+            Some((_, i)) => (Some(BackendId(i)), best_stalled.is_some()),
+            None => (best_stalled.map(|(_, i)| BackendId(i)), false),
+        }
+    }
+
+    /// Draws from the gathered candidates: uniformly under `Random`, the
+    /// least-loaded of a `d`-sample under `Jsq(d)`.
+    fn sample(&mut self) -> Option<BackendId> {
+        let candidates = &mut self.candidates;
+        if candidates.is_empty() {
+            return None;
+        }
+        let len = candidates.len();
+        if let PolicyKind::Jsq(d) = self.kind {
             // Partial Fisher–Yates: the first `d` slots become a uniform
             // sample without replacement, then the least-loaded sampled
             // backend wins (first in sample order on ties).
-            let d = usize::from(d.max(1)).min(candidates.len());
+            let d = usize::from(d.max(1)).min(len);
             for k in 0..d {
-                let j = k + self.rng.next_bounded((candidates.len() - k) as u64) as usize;
+                let j = k + self.rng.next_bounded((len - k) as u64) as usize;
                 candidates.swap(k, j);
             }
             let mut best = candidates[0];
@@ -431,21 +481,10 @@ impl LbValues {
             }
             return Some(BackendId(best));
         }
-        let n = self.scores.len();
-        let mut best: Option<(u64, usize)> = None;
-        for offset in 0..n {
-            let i = (cursor + offset) % n;
-            if !eligible[i] {
-                continue;
-            }
-            let v = self.scores[i];
-            match best {
-                // Strict `<` keeps the first (round-robin-ordered) minimum.
-                Some((bv, _)) if v >= bv => {}
-                _ => best = Some((v, i)),
-            }
-        }
-        best.map(|(_, i)| BackendId(i))
+        // An unbiased bounded draw: `next_u64() as usize % len` has
+        // modulo bias and truncates to 32 bits on 32-bit targets.
+        let pick = self.rng.next_bounded(len as u64) as usize;
+        Some(BackendId(candidates[pick]))
     }
 }
 

@@ -70,6 +70,20 @@ impl BackendState {
         WorkerState::Available
     }
 
+    /// The first instant the backend is Available again under `cfg`, or
+    /// [`SimTime::ZERO`] when it carries no mark. At every `now` from the
+    /// last mark up to (not including) [`SimTime::MAX`],
+    /// `now >= self.available_at(cfg)` is exactly
+    /// `self.effective(now, cfg) == WorkerState::Available`. The adds
+    /// saturate, so an endless hold reads as `SimTime::MAX`, never as a
+    /// wrapped early instant.
+    pub fn available_at(&self, cfg: &BalancerConfig) -> SimTime {
+        let until = |since: Option<SimTime>, hold| {
+            since.map_or(SimTime::ZERO, |s: SimTime| s.saturating_add(hold))
+        };
+        until(self.error_since, cfg.error_recover).max(until(self.busy_since, cfg.busy_hold))
+    }
+
     /// Records a failed endpoint acquisition: Available → Busy, and after
     /// [`BalancerConfig::error_threshold`] consecutive failure *episodes*
     /// (bursts within one `busy_hold` window count once), Busy → Error.
@@ -120,6 +134,7 @@ mod tests {
     use super::*;
     use crate::config::BalancerConfig;
     use mlb_simkernel::time::SimDuration;
+    use proptest::prelude::*;
 
     fn cfg() -> BalancerConfig {
         BalancerConfig {
@@ -215,5 +230,110 @@ mod tests {
         s.mark_alive();
         s.mark_failed(t(5), &c);
         assert_eq!(s.busy_marks(), 2);
+    }
+
+    /// `available_at` against `effective` at the instants that matter
+    /// for one state: the last mark, one before and at each hold's end,
+    /// a far instant, and `SimTime::MAX - 1`.
+    fn check_available_at(s: &BackendState, c: &BalancerConfig, last_mark: SimTime) {
+        let at = s.available_at(c);
+        let ends = [
+            s.busy_since.map(|t| t.saturating_add(c.busy_hold)),
+            s.error_since.map(|t| t.saturating_add(c.error_recover)),
+        ];
+        let mut probes = vec![
+            last_mark,
+            last_mark.saturating_add(SimDuration::from_micros(1)),
+        ];
+        for end in ends.into_iter().flatten() {
+            probes.push(end);
+            probes.push(SimTime::from_micros(end.as_micros().saturating_sub(1)));
+        }
+        probes.push(last_mark.saturating_add(SimDuration::from_secs(3_600)));
+        probes.push(SimTime::from_micros(u64::MAX - 1));
+        for now in probes
+            .into_iter()
+            .filter(|&now| now >= last_mark && now < SimTime::MAX)
+        {
+            assert_eq!(
+                now >= at,
+                s.effective(now, c) == WorkerState::Available,
+                "now={now:?} available_at={at:?} state={s:?}"
+            );
+        }
+        // Saturation: an endless hold is endless, never a wrapped instant.
+        if s.busy_since.is_some() && c.busy_hold == SimDuration::MAX
+            || s.error_since.is_some() && c.error_recover == SimDuration::MAX
+        {
+            assert_eq!(at, SimTime::MAX);
+        }
+        if s.busy_since.is_none() && s.error_since.is_none() {
+            assert_eq!(at, SimTime::ZERO);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn available_at_agrees_with_effective(
+            holds in (
+                proptest::sample::select(vec![0u64, 1, 100, 2_500, u64::MAX]),
+                proptest::sample::select(vec![0u64, 1, 100, 7_000, u64::MAX]),
+                1u32..4,
+            ),
+            start in proptest::sample::select(vec![0u64, 1, 50_000, u64::MAX - 10_000]),
+            // Each mark: the gap since the previous one (µs) and whether
+            // it is a failure (`true`) or a proof of life (`false`).
+            marks in proptest::collection::vec(
+                (
+                    proptest::sample::select(vec![0u64, 1, 99, 100, 101, 2_499, 2_500, 9_000]),
+                    proptest::sample::select(vec![true, true, true, false]),
+                ),
+                1..24,
+            ),
+        ) {
+            let (busy_hold, error_recover, error_threshold) = holds;
+            let c = BalancerConfig {
+                busy_hold: SimDuration::from_micros(busy_hold),
+                error_recover: SimDuration::from_micros(error_recover),
+                error_threshold,
+                ..BalancerConfig::default()
+            };
+            let mut s = BackendState::new();
+            let mut now = SimTime::from_micros(start);
+            check_available_at(&s, &c, now);
+            for &(gap, failed) in &marks {
+                now = now.saturating_add(SimDuration::from_micros(gap));
+                if failed {
+                    s.mark_failed(now, &c);
+                } else {
+                    s.mark_alive();
+                }
+                check_available_at(&s, &c, now);
+            }
+        }
+    }
+
+    #[test]
+    fn available_at_saturates_endless_holds() {
+        let c = BalancerConfig {
+            busy_hold: SimDuration::MAX,
+            error_recover: SimDuration::MAX,
+            error_threshold: 1,
+            ..BalancerConfig::default()
+        };
+        let mut s = BackendState::new();
+        s.mark_failed(t(5), &c);
+        assert_eq!(s.effective(t(5), &c), WorkerState::Error);
+        assert_eq!(s.available_at(&c), SimTime::MAX);
+        let zero_hold = BalancerConfig {
+            busy_hold: SimDuration::ZERO,
+            ..cfg()
+        };
+        let mut s = BackendState::new();
+        s.mark_failed(t(5), &zero_hold);
+        assert_eq!(s.available_at(&zero_hold), t(5));
+        assert_eq!(s.effective(t(5), &zero_hold), WorkerState::Available);
     }
 }

@@ -643,8 +643,7 @@ impl NTierSystem {
                 self.session_affinity.record_violation(client);
             }
         }
-        let exclude = r.exclude.clone();
-        match self.apaches[a].balancer.select(now, &exclude) {
+        match self.apaches[a].balancer.select(now, &r.exclude) {
             Some(backend) => self.try_endpoint(now, sched, id, backend.index()),
             None => {
                 // Everyone Busy/Error/excluded: wait one retry_sleep with a

@@ -136,9 +136,10 @@ pub struct Telemetry {
     pub tomcat_dirty: Vec<WindowedSeries>,
     /// Fig. 10b/11b: Apache1's lb_value per Tomcat, sampled per window.
     pub lb_values: Vec<WindowedSeries>,
-    /// Fig. 6c/7c/9b/13b: requests assigned per (Apache, Tomcat) per
-    /// window.
-    pub distribution: Vec<Vec<WindowedCounter>>,
+    /// Fig. 6c/7c/9b/13b: Apache1's requests assigned per Tomcat per
+    /// window. Only Apache1 is kept, as for `lb_values`: the figures
+    /// plot it alone, and the other Apaches' assignments record nothing.
+    pub distribution: Vec<WindowedCounter>,
     /// Accept-queue drops per window (all Apaches).
     pub drops_per_window: WindowedCounter,
     /// Total accept-queue drops.
@@ -182,9 +183,7 @@ impl Telemetry {
             apache_dirty: (0..apaches).map(|_| ws()).collect(),
             tomcat_dirty: (0..tomcats).map(|_| ws()).collect(),
             lb_values: (0..tomcats).map(|_| ws()).collect(),
-            distribution: (0..apaches)
-                .map(|_| (0..tomcats).map(|_| wc()).collect())
-                .collect(),
+            distribution: (0..tomcats).map(|_| wc()).collect(),
             drops_per_window: wc(),
             drops: 0,
             retransmits: 0,
@@ -219,9 +218,11 @@ impl Telemetry {
     }
 
     /// Records a request assignment (endpoint acquired) from `apache` to
-    /// `tomcat`.
+    /// `tomcat`; only Apache1's (`apache == 0`) are kept.
     pub fn record_assignment(&mut self, now: SimTime, apache: usize, tomcat: usize) {
-        self.distribution[apache][tomcat].incr(now);
+        if apache == 0 {
+            self.distribution[tomcat].incr(now);
+        }
     }
 
     /// Stores the CPU utilization sample for server slot `slot`
@@ -350,14 +351,20 @@ mod tests {
     }
 
     #[test]
-    fn assignments_recorded_per_pair() {
+    fn assignments_recorded_for_apache1_only() {
         let mut t = telemetry();
         t.record_assignment(SimTime::from_millis(10), 0, 1);
         t.record_assignment(SimTime::from_millis(10), 0, 1);
+        t.record_assignment(SimTime::from_millis(60), 0, 0);
+        assert_eq!(t.distribution[1].total(), 2);
+        assert_eq!(t.distribution[0].total(), 1);
+        assert_eq!(t.distribution[0].counts(), &[0, 1]);
+        // Another Apache's assignments leave the series untouched.
         t.record_assignment(SimTime::from_millis(10), 1, 0);
-        assert_eq!(t.distribution[0][1].total(), 2);
-        assert_eq!(t.distribution[1][0].total(), 1);
-        assert_eq!(t.distribution[0][0].total(), 0);
+        t.record_assignment(SimTime::from_millis(60), 1, 1);
+        assert_eq!(t.distribution[0].total(), 1);
+        assert_eq!(t.distribution[1].total(), 2);
+        assert_eq!(t.distribution[1].counts(), &[2]);
     }
 
     #[test]

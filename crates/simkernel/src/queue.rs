@@ -122,7 +122,10 @@ pub struct EventQueue<E> {
 
 #[derive(Debug)]
 enum QueueImpl<E> {
-    Wheel(Wheel<E>),
+    // Boxed: the wheel's inline state is over ten times the heap's. The
+    // queue is built once per simulation, so the box pointer is one
+    // extra load that stays cached.
+    Wheel(Box<Wheel<E>>),
     Heap(BinaryHeap<Entry<E>>),
 }
 
@@ -235,7 +238,7 @@ impl<E> EventQueue<E> {
     /// `capacity` pending events.
     pub fn with_capacity_and_kind(capacity: usize, kind: QueueKind) -> Self {
         let imp = match kind {
-            QueueKind::Wheel => QueueImpl::Wheel(Wheel::new(capacity)),
+            QueueKind::Wheel => QueueImpl::Wheel(Box::new(Wheel::new(capacity))),
             QueueKind::Heap => QueueImpl::Heap(BinaryHeap::with_capacity(capacity)),
         };
         EventQueue {

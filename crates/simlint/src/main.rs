@@ -78,7 +78,10 @@ fn main() -> ExitCode {
             "--explain" => match args.next() {
                 Some(r) => explain = Some(r),
                 None => {
-                    eprintln!("--explain needs a rule name (see --list-rules)\n{}", usage());
+                    eprintln!(
+                        "--explain needs a rule name (see --list-rules)\n{}",
+                        usage()
+                    );
                     return ExitCode::from(2);
                 }
             },

@@ -120,10 +120,7 @@ pub const STATE_MARKER: &str = "simlint::state";
 /// typo'd class cannot silently reclassify state.
 pub fn parse_state_annotations(
     tokens: &[crate::lexer::Token],
-) -> (
-    crate::effects::StateAnnotations,
-    Vec<(u32, u32, String)>,
-) {
+) -> (crate::effects::StateAnnotations, Vec<(u32, u32, String)>) {
     let mut anns = BTreeMap::new();
     let mut bad = Vec::new();
     for t in tokens.iter().filter(|t| t.is_comment()) {

@@ -77,10 +77,7 @@ fn probe_timeouts_do_not_blacklist_healthy_servers() {
     let r = smoke(PolicyKind::TotalRequest, MechanismKind::ProbeFirst);
     // Every Tomcat must keep receiving work in the steady state: compare
     // per-backend completions from Apache 1's balancer view.
-    let totals: Vec<u64> = r.telemetry.distribution[0]
-        .iter()
-        .map(|c| c.total())
-        .collect();
+    let totals: Vec<u64> = r.telemetry.distribution.iter().map(|c| c.total()).collect();
     let min = *totals.iter().min().unwrap();
     let max = *totals.iter().max().unwrap();
     assert!(min > 0, "a backend went dark: {totals:?}");
@@ -170,8 +167,8 @@ fn weighted_balancing_respects_capacity_in_a_hetero_cluster() {
         m.page_cache = Some(PageCacheConfig::effectively_disabled());
     }
     let r = run_experiment(cfg).unwrap();
-    let a = r.telemetry.distribution[0][0].total() as f64;
-    let b = r.telemetry.distribution[0][1].total() as f64;
+    let a = r.telemetry.distribution[0].total() as f64;
+    let b = r.telemetry.distribution[1].total() as f64;
     let ratio = a / b.max(1.0);
     assert!(
         (1.8..2.2).contains(&ratio),
@@ -201,8 +198,8 @@ fn current_load_adapts_to_heterogeneity_without_weights() {
     let r = run_experiment(cfg).unwrap();
     // The weak backend must receive measurably less work, with no manual
     // weights, and the system must stay healthy.
-    let strong = r.telemetry.distribution[0][0].total() as f64;
-    let weak_n = r.telemetry.distribution[0][1].total() as f64;
+    let strong = r.telemetry.distribution[0].total() as f64;
+    let weak_n = r.telemetry.distribution[1].total() as f64;
     assert!(
         strong > weak_n * 1.05,
         "current_load should shift load off the weak node ({strong} vs {weak_n})"
@@ -255,10 +252,7 @@ fn extended_policies_balance_evenly_when_healthy() {
             "{} dropped packets in a healthy system",
             policy.name()
         );
-        let totals: Vec<u64> = r.telemetry.distribution[0]
-            .iter()
-            .map(|c| c.total())
-            .collect();
+        let totals: Vec<u64> = r.telemetry.distribution.iter().map(|c| c.total()).collect();
         let min = *totals.iter().min().unwrap() as f64;
         let max = *totals.iter().max().unwrap() as f64;
         assert!(
@@ -284,10 +278,7 @@ fn ewma_latency_herds_even_when_healthy() {
     let r = run_experiment(cfg).unwrap();
     assert_eq!(r.telemetry.drops, 0);
     assert!(r.telemetry.response.avg_ms() < 10.0);
-    let totals: Vec<u64> = r.telemetry.distribution[0]
-        .iter()
-        .map(|c| c.total())
-        .collect();
+    let totals: Vec<u64> = r.telemetry.distribution.iter().map(|c| c.total()).collect();
     let min = *totals.iter().min().unwrap() as f64;
     let max = *totals.iter().max().unwrap() as f64;
     assert!(

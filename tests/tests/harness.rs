@@ -8,7 +8,7 @@ use mlb_bench::{all_artifacts, build, required_runs, RunCache, RunKey};
 fn cache() -> &'static RunCache {
     use std::sync::OnceLock;
     static CACHE: OnceLock<RunCache> = OnceLock::new();
-    CACHE.get_or_init(|| RunCache::execute(&RunKey::all(), 20))
+    CACHE.get_or_init(|| RunCache::execute(&RunKey::all(), 20, false))
 }
 
 #[test]

@@ -146,10 +146,7 @@ fn healthy_system_distributes_load_evenly() {
     let r = run_no_mb(PolicyKind::TotalRequest, MechanismKind::Original);
     // Assignments from Apache 1 across the two smoke Tomcats must be
     // within a few percent of each other.
-    let totals: Vec<u64> = r.telemetry.distribution[0]
-        .iter()
-        .map(|c| c.total())
-        .collect();
+    let totals: Vec<u64> = r.telemetry.distribution.iter().map(|c| c.total()).collect();
     let max = *totals.iter().max().unwrap() as f64;
     let min = *totals.iter().min().unwrap() as f64;
     assert!(min > 0.0, "every backend must receive work");

@@ -34,9 +34,7 @@ fn halves(kind: QueueKind) -> (u64, u64) {
     let arena = sim.model().arena_stats();
     let wheel = sim.wheel_stats();
     let end = arena.allocs + wheel.map_or(0, |w| w.node_allocs);
-    let inserts = arena.allocs
-        + arena.reuses
-        + wheel.map_or(0, |w| w.node_allocs + w.node_reuses);
+    let inserts = arena.allocs + arena.reuses + wheel.map_or(0, |w| w.node_allocs + w.node_reuses);
     (inserts, end - mid)
 }
 
