@@ -14,9 +14,10 @@
 //! * **no inversion anywhere** — the wheel must match or beat the heap
 //!   at *every* measured scale. Gating only 16× is how a 0.25× collapse
 //!   at 64× once landed silently.
-//! * **allocation-free steady state** — the wheel's packed node arena
-//!   must stop growing after warmup at every scale (think-timer
-//!   liveness peaks when the population first sleeps). The request
+//! * **allocation-free steady state** — the wheel's bucket chunks must
+//!   stop growing after warmup at every scale (think-timer liveness
+//!   peaks when the population first sleeps), and never exceed the
+//!   chunk count the peak bucket population can need. The request
 //!   arena legitimately ramps with in-flight liveness at overloaded
 //!   scales, so it is gated structurally instead: growth never exceeds
 //!   peak liveness, the second-half gauge agrees exactly across
@@ -50,7 +51,7 @@ const SPEEDUP_FLOOR_EVERYWHERE: f64 = 0.8;
 /// insert volume — a broken free list allocates per insert (~50% of it
 /// in the second half), a healthy one shows only stochastic creep of
 /// the liveness peak, orders of magnitude below this ceiling. Applied
-/// to the wheel's node arena at every scale, and to the request arena
+/// to the wheel's bucket chunks at every scale, and to the request arena
 /// only at 1×: at overloaded scales in-flight liveness is still ramping
 /// at the midpoint, so request-arena growth there is warmup, not churn.
 const SECOND_HALF_ALLOC_FRACTION_CEILING: f64 = 0.01;
@@ -79,19 +80,19 @@ fn gate_every_scale(report: &ScaleSweepReport) {
         let heap = report
             .point(scale, QueueKind::Heap)
             .expect("heap point measured");
-        // The tentpole invariant: the packed node arena stops growing
-        // after warmup at EVERY scale. Think timers for the whole client
-        // population go live in the first instants of the run, so node
-        // liveness peaks early and the free list serves everything after.
-        let node_inserts = (wheel.node_allocs + wheel.node_reuses).max(1);
-        let node_frac = wheel.second_half_node_allocs as f64 / node_inserts as f64;
+        // The wheel's bucket storage stops growing after warmup at EVERY
+        // scale. Think timers for the whole client population go live in
+        // the first instants of the run, so bucket liveness peaks early
+        // and the chunk free list serves everything after.
+        let chunk_inserts = (wheel.chunk_allocs + wheel.chunk_reuses).max(1);
+        let chunk_frac = wheel.second_half_chunk_allocs as f64 / chunk_inserts as f64;
         assert!(
-            node_frac <= SECOND_HALF_ALLOC_FRACTION_CEILING,
-            "wheel node arena still growing at {scale}x: {} fresh nodes in the \
-             second half of {} node inserts ({:.3}%)",
-            wheel.second_half_node_allocs,
-            node_inserts,
-            node_frac * 100.0
+            chunk_frac <= SECOND_HALF_ALLOC_FRACTION_CEILING,
+            "wheel chunks still growing at {scale}x: {} fresh chunks in the \
+             second half of {} chunk inserts ({:.3}%)",
+            wheel.second_half_chunk_allocs,
+            chunk_inserts,
+            chunk_frac * 100.0
         );
         // Request-arena growth is model-driven (in-flight request
         // liveness), so bit-identical backends must report it
@@ -115,11 +116,12 @@ fn gate_every_scale(report: &ScaleSweepReport) {
             );
         }
         assert!(
-            wheel.node_allocs <= seeds * wheel.node_peak_live.max(1),
-            "wheel node arena grew past peak liveness at {scale}x: {} allocs vs {} seeds x {} peak",
-            wheel.node_allocs,
-            seeds,
-            wheel.node_peak_live
+            wheel.chunk_allocs <= wheel.chunk_allocs_ceiling,
+            "wheel chunks grew past what peak liveness needs at {scale}x: {} allocs vs \
+             a ceiling of {} over {} seeds",
+            wheel.chunk_allocs,
+            wheel.chunk_allocs_ceiling,
+            seeds
         );
         if scale == 1 {
             // Only the paper-scale point reaches steady state inside the

@@ -94,11 +94,17 @@ pub struct ScalePoint {
     pub cascades: u64,
     /// Entries moved by cascades, summed over seeds (0 on the heap).
     pub cascade_entries: u64,
-    /// Fresh wheel-node arena growths, summed over seeds (0 on the heap).
-    pub node_allocs: u64,
-    /// Wheel nodes recycled off the free list, summed (0 on the heap).
-    pub node_reuses: u64,
-    /// Peak live wheel nodes, max over seeds (0 on the heap).
+    /// Fresh wheel bucket chunks grown, summed over seeds (0 on the
+    /// heap).
+    pub chunk_allocs: u64,
+    /// Wheel bucket chunks recycled off the free list, summed (0 on the
+    /// heap).
+    pub chunk_reuses: u64,
+    /// Sum over seeds of each run's
+    /// [`WheelStats::chunk_allocs_ceiling`]: the most chunks a recycling
+    /// free list can have grown (0 on the heap).
+    pub chunk_allocs_ceiling: u64,
+    /// Peak bucket-resident wheel events, max over seeds (0 on the heap).
     pub node_peak_live: u64,
     /// Fresh request-arena slot growths, summed over seeds.
     pub arena_allocs: u64,
@@ -113,11 +119,11 @@ pub struct ScalePoint {
     /// only scale that reaches steady state inside the window) stays
     /// under 1% of inserts.
     pub second_half_arena_allocs: u64,
-    /// Fresh wheel-node growths after each run's midpoint, summed over
+    /// Fresh wheel chunks grown after each run's midpoint, summed over
     /// seeds (0 on the heap). Think-timer liveness peaks when the client
     /// population first goes to sleep, so this is ~0 at *every* scale —
-    /// the packed arena's allocation-free steady state, gated as such.
-    pub second_half_node_allocs: u64,
+    /// the wheel's allocation-free steady state, gated as such.
+    pub second_half_chunk_allocs: u64,
 }
 
 /// How the *hold* churn draws re-insertion offsets.
@@ -211,9 +217,9 @@ struct RunStats {
     arena: ArenaStats,
     /// Fresh request-arena slots after the midpoint slice.
     second_half_arena_allocs: u64,
-    /// Fresh wheel nodes after the midpoint slice (0 on the heap) — the
+    /// Fresh wheel chunks after the midpoint slice (0 on the heap) — the
     /// per-run allocation-free steady-state gauge.
-    second_half_node_allocs: u64,
+    second_half_chunk_allocs: u64,
 }
 
 /// One simulation being stepped slice-by-slice next to its rival.
@@ -223,7 +229,7 @@ struct Lane {
     wall_secs: f64,
     peak_queue: usize,
     mid_arena_allocs: u64,
-    mid_node_allocs: u64,
+    mid_chunk_allocs: u64,
 }
 
 /// Runs one seed under *both* backends with their slices interleaved:
@@ -247,7 +253,7 @@ fn run_pair(scale: usize, seed: u64, secs: u64, slices: u64) -> Vec<(QueueKind, 
             wall_secs: 0.0,
             peak_queue: 0,
             mid_arena_allocs: 0,
-            mid_node_allocs: 0,
+            mid_chunk_allocs: 0,
         })
         .collect();
     let total_us = secs * 1_000_000;
@@ -261,7 +267,7 @@ fn run_pair(scale: usize, seed: u64, secs: u64, slices: u64) -> Vec<(QueueKind, 
             lane.peak_queue = lane.peak_queue.max(lane.sim.pending());
             if i == mid_slice {
                 lane.mid_arena_allocs = lane.sim.model().arena_stats().allocs;
-                lane.mid_node_allocs = lane.sim.wheel_stats().map_or(0, |w| w.node_allocs);
+                lane.mid_chunk_allocs = lane.sim.wheel_stats().map_or(0, |w| w.chunk_allocs);
             }
         }
     }
@@ -276,7 +282,8 @@ fn run_pair(scale: usize, seed: u64, secs: u64, slices: u64) -> Vec<(QueueKind, 
                 peak_queue: lane.peak_queue,
                 completed: lane.sim.model().telemetry().response.total(),
                 second_half_arena_allocs: arena.allocs - lane.mid_arena_allocs,
-                second_half_node_allocs: wheel.map_or(0, |w| w.node_allocs) - lane.mid_node_allocs,
+                second_half_chunk_allocs: wheel.map_or(0, |w| w.chunk_allocs)
+                    - lane.mid_chunk_allocs,
                 wheel,
                 arena,
             };
@@ -382,8 +389,9 @@ pub fn run_scale_sweep(cfg: &ScaleSweepConfig) -> ScaleSweepReport {
                 requests_completed: completed,
                 cascades: wheel_sum(|w| w.cascades),
                 cascade_entries: wheel_sum(|w| w.cascade_entries),
-                node_allocs: wheel_sum(|w| w.node_allocs),
-                node_reuses: wheel_sum(|w| w.node_reuses),
+                chunk_allocs: wheel_sum(|w| w.chunk_allocs),
+                chunk_reuses: wheel_sum(|w| w.chunk_reuses),
+                chunk_allocs_ceiling: wheel_sum(WheelStats::chunk_allocs_ceiling),
                 node_peak_live: stats
                     .iter()
                     .filter_map(|s| s.wheel.as_ref())
@@ -394,17 +402,17 @@ pub fn run_scale_sweep(cfg: &ScaleSweepConfig) -> ScaleSweepReport {
                 arena_reuses: stats.iter().map(|s| s.arena.reuses).sum(),
                 arena_peak_live: stats.iter().map(|s| s.arena.peak_live).max().unwrap_or(0),
                 second_half_arena_allocs: stats.iter().map(|s| s.second_half_arena_allocs).sum(),
-                second_half_node_allocs: stats.iter().map(|s| s.second_half_node_allocs).sum(),
+                second_half_chunk_allocs: stats.iter().map(|s| s.second_half_chunk_allocs).sum(),
             };
             eprintln!(
-                "  [scale {:>3}x {:<5}] {:>10.0} events/s, {:>6.3} wall-s/sim-s, peak queue {:>8}, 2nd-half allocs arena {} / nodes {}",
+                "  [scale {:>3}x {:<5}] {:>10.0} events/s, {:>6.3} wall-s/sim-s, peak queue {:>8}, 2nd-half allocs arena {} / chunks {}",
                 scale,
                 kind_name(kind),
                 point.events_per_sec,
                 point.wall_secs_per_sim_sec,
                 point.peak_queue_len,
                 point.second_half_arena_allocs,
-                point.second_half_node_allocs,
+                point.second_half_chunk_allocs,
             );
             points.push(point);
         }
@@ -496,9 +504,9 @@ impl ScaleSweepReport {
                  \"seeds\": [{}], \"events_processed\": {}, \"events_per_sec\": {:.1}, \
                  \"wall_secs_per_sim_sec\": {:.6}, \"peak_queue_len\": {}, \
                  \"requests_completed\": {}, \"cascades\": {}, \"cascade_entries\": {}, \
-                 \"node_allocs\": {}, \"node_reuses\": {}, \"node_peak_live\": {}, \
+                 \"chunk_allocs\": {}, \"chunk_reuses\": {}, \"node_peak_live\": {}, \
                  \"arena_allocs\": {}, \"arena_reuses\": {}, \"arena_peak_live\": {}, \
-                 \"second_half_arena_allocs\": {}, \"second_half_node_allocs\": {}}}{}\n",
+                 \"second_half_arena_allocs\": {}, \"second_half_chunk_allocs\": {}}}{}\n",
                 p.scale,
                 p.clients,
                 kind_name(p.queue),
@@ -514,14 +522,14 @@ impl ScaleSweepReport {
                 p.requests_completed,
                 p.cascades,
                 p.cascade_entries,
-                p.node_allocs,
-                p.node_reuses,
+                p.chunk_allocs,
+                p.chunk_reuses,
                 p.node_peak_live,
                 p.arena_allocs,
                 p.arena_reuses,
                 p.arena_peak_live,
                 p.second_half_arena_allocs,
-                p.second_half_node_allocs,
+                p.second_half_chunk_allocs,
                 if i + 1 == self.points.len() { "" } else { "," },
             ));
         }
@@ -608,10 +616,13 @@ impl ScaleSweepReport {
                 metrics.extend([
                     ("cascades", p.cascades as f64),
                     ("cascade_entries", p.cascade_entries as f64),
-                    ("node_allocs", p.node_allocs as f64),
-                    ("node_reuses", p.node_reuses as f64),
+                    ("chunk_allocs", p.chunk_allocs as f64),
+                    ("chunk_reuses", p.chunk_reuses as f64),
                     ("node_peak_live", p.node_peak_live as f64),
-                    ("second_half_node_allocs", p.second_half_node_allocs as f64),
+                    (
+                        "second_half_chunk_allocs",
+                        p.second_half_chunk_allocs as f64,
+                    ),
                 ]);
             }
             record.points.push(HistoryPoint::new(
@@ -658,7 +669,7 @@ mod tests {
             wheel.second_half_arena_allocs,
             heap.second_half_arena_allocs
         );
-        assert_eq!(heap.second_half_node_allocs, 0);
+        assert_eq!(heap.second_half_chunk_allocs, 0);
     }
 
     fn tiny_report() -> ScaleSweepReport {
@@ -681,14 +692,15 @@ mod tests {
                 requests_completed: 4,
                 cascades: 2,
                 cascade_entries: 6,
-                node_allocs: 8,
-                node_reuses: 9,
+                chunk_allocs: 8,
+                chunk_reuses: 9,
+                chunk_allocs_ceiling: 1_161,
                 node_peak_live: 3,
                 arena_allocs: 5,
                 arena_reuses: 11,
                 arena_peak_live: 4,
                 second_half_arena_allocs: 1,
-                second_half_node_allocs: 0,
+                second_half_chunk_allocs: 0,
             }],
             hold: vec![
                 HoldPoint {
@@ -736,10 +748,10 @@ mod tests {
         assert_eq!(p.metric("events_per_sec"), Some(5.0));
         assert_eq!(p.metric("peak_queue_len"), Some(3.0));
         assert_eq!(p.metric("cascade_entries"), Some(6.0));
-        assert_eq!(p.metric("node_allocs"), Some(8.0));
+        assert_eq!(p.metric("chunk_allocs"), Some(8.0));
         assert_eq!(p.metric("arena_reuses"), Some(11.0));
         assert_eq!(p.metric("second_half_arena_allocs"), Some(1.0));
-        assert_eq!(p.metric("second_half_node_allocs"), Some(0.0));
+        assert_eq!(p.metric("second_half_chunk_allocs"), Some(0.0));
         let h = record.point("hold/1x/wheel").expect("hold point present");
         assert_eq!(h.metric("ops_per_sec"), Some(100.0));
         let hb = record

@@ -22,7 +22,9 @@ pub const WALL_NS_SUFFIX: &str = ".wall_ns";
 
 /// Flattens a kernel profile into ordered `(metric name, value)` pairs:
 /// `prof.phase.*`, `prof.kind.*`, then `prof.wheel.*` (when the run used
-/// the wheel backend). Order is stable so exports are byte-stable.
+/// the wheel backend), with the per-level cascade split as
+/// `prof.wheel.cascade_entries.l1` … `.l5` (level 0 never cascades).
+/// Order is stable so exports are byte-stable.
 pub fn kernel_pairs(profile: &KernelProfile) -> Vec<(String, u64)> {
     let mut pairs = Vec::new();
     for phase in Phase::ALL {
@@ -54,11 +56,14 @@ pub fn kernel_pairs(profile: &KernelProfile) -> Vec<(String, u64)> {
             ("cursor_appends", w.cursor_appends),
             ("cursor_sorted_inserts", w.cursor_sorted_inserts),
             ("max_bucket_len", w.max_bucket_len),
-            ("node_allocs", w.node_allocs),
-            ("node_reuses", w.node_reuses),
+            ("chunk_allocs", w.chunk_allocs),
+            ("chunk_reuses", w.chunk_reuses),
             ("node_peak_live", w.node_peak_live),
         ] {
             pairs.push((format!("prof.wheel.{name}"), value));
+        }
+        for (level, &value) in w.cascade_entries_by_level.iter().enumerate().skip(1) {
+            pairs.push((format!("prof.wheel.cascade_entries.l{level}"), value));
         }
     }
     pairs
@@ -125,6 +130,7 @@ mod tests {
             wheel: Some(WheelStats {
                 cascades: 2,
                 cascade_entries: 10,
+                cascade_entries_by_level: [0, 7, 3, 0, 0, 0],
                 level0_jumps: 5,
                 level_jumps: 1,
                 overflow_rebases: 0,
@@ -132,8 +138,8 @@ mod tests {
                 cursor_appends: 9,
                 cursor_sorted_inserts: 1,
                 max_bucket_len: 4,
-                node_allocs: 10,
-                node_reuses: 6,
+                chunk_allocs: 2,
+                chunk_reuses: 6,
                 node_peak_live: 4,
             }),
         }
@@ -147,8 +153,13 @@ mod tests {
         assert_eq!(names[1], "prof.phase.drain.wall_ns");
         assert!(names.contains(&"prof.kind.tick.count"));
         assert!(names.contains(&"prof.wheel.cascades"));
-        // 3 phases × 2 + 2 kinds × 2 + 12 wheel counters.
-        assert_eq!(pairs.len(), 6 + 4 + 12);
+        // 3 phases × 2 + 2 kinds × 2 + 12 wheel counters + 5 levels.
+        assert_eq!(pairs.len(), 6 + 4 + 12 + 5);
+        let get = |name: &str| pairs.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+        assert_eq!(get("prof.wheel.cascade_entries.l1"), Some(7));
+        assert_eq!(get("prof.wheel.cascade_entries.l2"), Some(3));
+        assert_eq!(get("prof.wheel.cascade_entries.l5"), Some(0));
+        assert_eq!(get("prof.wheel.cascade_entries.l0"), None);
     }
 
     #[test]

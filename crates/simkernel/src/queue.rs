@@ -81,6 +81,10 @@ pub struct WheelStats {
     pub cascades: u64,
     /// Entries migrated to a lower level (or the cursor) by cascades.
     pub cascade_entries: u64,
+    /// `cascade_entries` split by the level of the bucket that was taken
+    /// apart. Index 0 stays zero: a level-0 bucket holds one instant and
+    /// drains straight into the ready queue (a `level0_jumps` event).
+    pub cascade_entries_by_level: [u64; LEVELS],
     /// Level-0 jumps: `base` advanced within its 64-µs window straight
     /// onto an occupied slot.
     pub level0_jumps: u64,
@@ -101,15 +105,35 @@ pub struct WheelStats {
     /// Longest single slot bucket drained by a cascade or level-0 jump —
     /// the wheel's analog of a slot-scan length.
     pub max_bucket_len: u64,
-    /// Fresh node-arena slots grown (hot+cold arrays extended). Flat
-    /// after warmup when the free list recycles everything — the
-    /// allocation-free-steady-state invariant the bench gates on.
-    pub node_allocs: u64,
-    /// Node-arena slots recycled off the free list instead of grown.
-    pub node_reuses: u64,
-    /// Peak number of live arena nodes (the high-water mark the hot/cold
-    /// arrays actually grew to).
+    /// Bucket chunks grown fresh (the event slab extended by one chunk).
+    /// Chunks are only grown when the free list is empty, so this equals
+    /// the peak number of chunks in use and goes flat after warmup — the
+    /// allocation-free-steady-state invariant the benches gate on.
+    pub chunk_allocs: u64,
+    /// Bucket chunks recycled off the free list instead of grown.
+    pub chunk_reuses: u64,
+    /// Peak number of events resident in slot buckets and the overflow
+    /// list (ready-queue entries excluded).
     pub node_peak_live: u64,
+}
+
+impl WheelStats {
+    /// The most chunks a wheel can have needed at once, given that at
+    /// most `node_peak_live` events were ever resident in its buckets
+    /// (since construction: `clear` drops every chunk). Two bounds hold,
+    /// and this is the smaller:
+    ///
+    /// * every chunk in use except the one a drain is consuming holds at
+    ///   least one resident event, so at most `node_peak_live + 1`;
+    /// * every chunk list is full except its tail chunk, and a drain
+    ///   holds one detached list plus its partly consumed front chunk, so
+    ///   at most `node_peak_live / CHUNK_CAP + LISTS + 2`.
+    ///
+    /// A free list that fails to recycle pushes `chunk_allocs` past this.
+    pub fn chunk_allocs_ceiling(&self) -> u64 {
+        let by_fill = self.node_peak_live / CHUNK_CAP as u64 + LISTS as u64 + 2;
+        by_fill.min(self.node_peak_live + 1)
+    }
 }
 
 /// A time-ordered queue of pending events.
@@ -160,8 +184,10 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// One pending event inside the wheel backend. `time` is raw integer µs —
-/// slot placement is bit arithmetic on it.
+/// One pending event inside the wheel backend (and the unit an
+/// [`InstantBatch`] carries). `time` is raw integer µs — slot placement
+/// is bit arithmetic on it. Buckets, the ready queue and batches all
+/// hold these inline, so an event's payload moves with its sort key.
 #[derive(Debug)]
 struct WheelEntry<E> {
     // simlint::unit(us)
@@ -180,7 +206,7 @@ struct WheelEntry<E> {
 #[derive(Debug)]
 pub struct InstantBatch<E> {
     time: SimTime,
-    entries: VecDeque<(u64, E)>,
+    entries: VecDeque<WheelEntry<E>>,
 }
 
 impl<E> InstantBatch<E> {
@@ -199,7 +225,7 @@ impl<E> InstantBatch<E> {
 
     /// Takes the next event of the batch, in FIFO (push) order.
     pub fn next_event(&mut self) -> Option<E> {
-        self.entries.pop_front().map(|(_, e)| e)
+        self.entries.pop_front().map(|e| e.event)
     }
 
     /// Number of events not yet consumed. Together with
@@ -223,8 +249,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Creates an empty queue with room for `capacity` events before
-    /// reallocating (for the wheel backend this pre-sizes the packed
-    /// node arena; the cursor reservation is capped).
+    /// reallocating (for the wheel backend this pre-sizes the event
+    /// slab; the cursor reservation is capped).
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue::with_capacity_and_kind(capacity, QueueKind::Wheel)
     }
@@ -296,7 +322,11 @@ impl<E> EventQueue<E> {
                 let time = h.peek()?.time;
                 while h.peek().is_some_and(|e| e.time == time) {
                     if let Some(e) = h.pop() {
-                        batch.entries.push_back((e.seq, e.event));
+                        batch.entries.push_back(WheelEntry {
+                            time: time.as_micros(),
+                            seq: e.seq,
+                            event: e.event,
+                        });
                     }
                 }
                 time
@@ -313,10 +343,14 @@ impl<E> EventQueue<E> {
     pub fn restore(&mut self, batch: &mut InstantBatch<E>) {
         let time = batch.time;
         match &mut self.imp {
-            QueueImpl::Wheel(w) => w.restore(time.as_micros(), batch.entries.drain(..)),
+            QueueImpl::Wheel(w) => w.restore(time.as_micros(), &mut batch.entries),
             QueueImpl::Heap(h) => {
-                for (seq, event) in batch.entries.drain(..) {
-                    h.push(Entry { time, seq, event });
+                for e in batch.entries.drain(..) {
+                    h.push(Entry {
+                        time,
+                        seq: e.seq,
+                        event: e.event,
+                    });
                 }
             }
         }
@@ -388,61 +422,39 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-/// Sentinel index terminating chunk lists and the cold free list.
+/// Sentinel index terminating chunk lists and the chunk free list.
 const NIL: u32 = u32::MAX;
 
-/// Entries per hot chunk: with the 8-byte header this makes a chunk
-/// exactly 2 KiB, so one cascade's working set — the ≤ [`SLOTS`]
-/// destination tail chunks being appended to — fits comfortably in L2.
+/// Events per chunk. Appends fill a bucket's tail chunk sequentially and
+/// cascades stream chunks front to back, so a chunk only needs to be big
+/// enough to amortise its list link. The value is carried over from the
+/// earlier layout whose chunks held 24-byte keys only (85 of them filled
+/// 2 KiB); it has not been re-tuned for inline entries.
 const CHUNK_CAP: usize = 85;
 
-/// The hot words of one pending event: the `(time, seq)` sort key a
-/// cascade compares, plus the index of the payload in the cold arena.
-/// 24 bytes, vs. dragging the full event through cache; the payload is
-/// only touched when the entry actually reaches the ready queue.
+/// Index of the overflow list in `heads`/`tails`, after the slot buckets.
+const OVERFLOW: usize = LEVELS * SLOTS;
+
+/// Chunk lists: one per slot bucket, plus the overflow list.
+const LISTS: usize = OVERFLOW + 1;
+
+/// The list link and fill count of one chunk: a block of
+/// [`CHUNK_CAP`] consecutive slab slots holding a bucket's events
+/// inline. Buckets are singly-linked chunk lists with a tail pointer:
+/// appends fill the tail chunk sequentially, cascades scan chunks front
+/// to back — so the hot path streams over packed arrays instead of
+/// chasing one pointer per event, and recycling whole chunks (not nodes)
+/// keeps bucket memory contiguous no matter how scrambled the churn
+/// order gets.
 #[derive(Debug, Clone, Copy)]
-struct ChunkEntry {
-    // simlint::unit(us)
-    time: u64,
-    seq: u64,
-    cold: u32,
-}
-
-impl ChunkEntry {
-    const ZERO: ChunkEntry = ChunkEntry {
-        time: 0,
-        seq: 0,
-        cold: NIL,
-    };
-}
-
-/// One 2 KiB block of a bucket's hot entries. Buckets are singly-linked
-/// chunk lists with a tail pointer: appends fill the tail chunk
-/// sequentially, cascades scan chunks front to back — so the hot path
-/// streams over packed arrays instead of chasing one pointer per event,
-/// and recycling whole chunks (not nodes) keeps bucket memory contiguous
-/// no matter how scrambled the churn order gets.
-#[derive(Debug, Clone)]
 struct Chunk {
-    /// Next chunk of the same bucket, or the free-list link.
+    /// Next chunk of the same list, or the free-list link.
     next: u32,
-    /// Occupied prefix of `entries`.
+    /// Occupied prefix of the chunk's slab range.
     len: u32,
-    entries: [ChunkEntry; CHUNK_CAP],
 }
 
-impl Chunk {
-    fn new() -> Self {
-        Chunk {
-            next: NIL,
-            len: 0,
-            entries: [ChunkEntry::ZERO; CHUNK_CAP],
-        }
-    }
-}
-
-/// The hierarchical timer wheel backend, with packed struct-of-arrays
-/// node storage.
+/// The hierarchical timer wheel backend, with chunked bucket storage.
 ///
 /// Layout and invariants (`base` is the wheel origin, in µs):
 ///
@@ -455,25 +467,26 @@ impl Chunk {
 ///   push: every push later than `base` files into a slot; an eager
 ///   origin pinned to the first push would instead stream every earlier
 ///   event through the sorted ready queue — O(n) each.
-/// * **chunks / cold** — the packed struct-of-arrays event store.
-///   `chunks` is the hot half: 2 KiB blocks of `(time, seq, cold-index)`
-///   entries, the only bytes cascades and jumps ever scan. `cold[i]` is
-///   the payload arena: an event's payload is written there once on push
-///   and read once when the entry reaches the ready queue; in between it
-///   never moves, no matter how many levels the hot entry cascades
-///   through. Freed cold slots are recycled through a LIFO free stack,
-///   freed chunks through a free list, so after the in-flight population
-///   peaks neither array grows again — the allocation-free steady state.
+/// * **slab / chunks** — the event store: one slab of whole
+///   [`WheelEntry`]s, payload inline, cut into fixed-capacity chunks. A
+///   push writes its event once into a tail chunk, a cascade moves it to
+///   a lower bucket's tail chunk, and the drain that reaches it reads it
+///   once, sequentially. Spent chunks recycle through a free list, so
+///   after the bucket population peaks the slab never grows again — the
+///   allocation-free steady state. One slab (rather than an allocation
+///   per chunk) keeps the chunks out of the general heap, where they
+///   would fragment it for everything else the process allocates.
 /// * **cursor** — the ready queue: events at the earliest pending
 ///   instant, sorted by `(time, seq)`, refilled on demand by
 ///   [`advance`](Wheel::advance). After a refill every cursor entry is at
 ///   one instant (== `base`); pushes *at or before* `base` (the
-///   `Scheduler::immediately` path, and batch-restore) insert into it
-///   directly, keeping it sorted. Cursor entries carry their payload
-///   (their arena slots are already freed).
-/// * **heads / tails** — `LEVELS × SLOTS` buckets, each a singly-linked
-///   chunk list with a tail pointer for O(1) seq-order append. An event
-///   at time `t > base` lives at level
+///   `Scheduler::immediately` path) insert into it directly, keeping it
+///   sorted, and a restored batch tail goes back at its front. While it
+///   holds one instant, [`drain_instant`](Wheel::drain_instant) hands
+///   the whole deque to the batch by swap.
+/// * **heads / tails** — `LEVELS × SLOTS` buckets plus the overflow
+///   list, each a singly-linked chunk list with a tail pointer for O(1)
+///   seq-order append. An event at time `t > base` lives at level
 ///   `ℓ = floor(log₂(t XOR base) / SLOT_BITS)`, slot index
 ///   `(t >> ℓ·SLOT_BITS) & (SLOTS-1)`. XOR placement means an event's
 ///   level-ℓ index always differs from (and, because `t > base`, exceeds)
@@ -481,18 +494,12 @@ impl Chunk {
 ///   always share a bucket. Buckets accumulate strictly in `seq` order —
 ///   events cascade down the moment `base` enters their window, before
 ///   any later push can target the same bucket — so no bucket ever needs
-///   sorting. Two earlier designs melted down at multi-million queue
-///   depths: per-bucket `Vec`s of full events re-moved 40-byte payloads
-///   through doubling multi-MB reallocations on every cascade, and
-///   per-node intrusive lists decayed into one cache+TLB miss per entry
-///   once free-list churn scrambled node order. Chunks keep cascade
-///   reads sequential and confine writes to ≤ [`SLOTS`] resident tail
-///   chunks, at a fixed 24 bytes per entry moved.
+///   sorting.
 /// * **occ** — one occupancy bitmap per level; finding the next pending
 ///   slot is a shift + `trailing_zeros`, no slot scan.
-/// * **overflow** — spill chunk list for events ≥ 2^(LEVELS·SLOT_BITS) µs
-///   past `base`; rescanned (O(n), amortized across the whole span) only
-///   when everything nearer has drained.
+/// * **overflow** — the list for events ≥ 2^(LEVELS·SLOT_BITS) µs past
+///   `base`; rescanned (O(n), amortized across the whole span) only when
+///   everything nearer has drained.
 ///
 /// When the next event is demanded and the cursor is empty,
 /// [`advance`](Wheel::advance) moves `base` forward: cascade the buckets
@@ -507,13 +514,12 @@ struct Wheel<E> {
     occ: [u64; LEVELS],
     heads: Vec<u32>,
     tails: Vec<u32>,
-    overflow_head: u32,
-    overflow_tail: u32,
     chunks: Vec<Chunk>,
+    /// Chunk `c` owns `slab[c * CHUNK_CAP..][..CHUNK_CAP]`.
+    slab: Vec<Option<WheelEntry<E>>>,
     chunk_free: u32,
-    cold: Vec<Option<E>>,
-    cold_free: Vec<u32>,
-    live_nodes: u64,
+    /// Events in buckets and the overflow list (not the cursor).
+    live: u64,
     len: usize,
     stats: WheelStats,
 }
@@ -524,15 +530,12 @@ impl<E> Wheel<E> {
             base: 0,
             cursor: VecDeque::with_capacity(capacity.min(CURSOR_PRESIZE_CAP)),
             occ: [0; LEVELS],
-            heads: vec![NIL; LEVELS * SLOTS],
-            tails: vec![NIL; LEVELS * SLOTS],
-            overflow_head: NIL,
-            overflow_tail: NIL,
+            heads: vec![NIL; LISTS],
+            tails: vec![NIL; LISTS],
             chunks: Vec::with_capacity(capacity.div_ceil(CHUNK_CAP)),
+            slab: Vec::with_capacity(capacity.next_multiple_of(CHUNK_CAP)),
             chunk_free: NIL,
-            cold: Vec::with_capacity(capacity),
-            cold_free: Vec::new(),
-            live_nodes: 0,
+            live: 0,
             len: 0,
             stats: WheelStats::default(),
         }
@@ -543,75 +546,54 @@ impl<E> Wheel<E> {
         ((self.base >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize
     }
 
-    /// Parks `event` in the cold arena — recycling a freed slot when one
-    /// is available, growing the array only when none is.
-    fn alloc_cold(&mut self, event: E) -> u32 {
-        let id = if let Some(id) = self.cold_free.pop() {
-            self.stats.node_reuses += 1;
-            self.cold[id as usize] = Some(event);
-            id
-        } else {
-            let id = self.cold.len() as u32;
-            self.stats.node_allocs += 1;
-            self.cold.push(Some(event));
-            id
-        };
-        self.live_nodes += 1;
-        self.stats.node_peak_live = self.stats.node_peak_live.max(self.live_nodes);
-        id
-    }
-
-    /// Retires cold slot `id` onto the free stack and returns its payload.
-    fn take_cold(&mut self, id: u32) -> E {
-        self.cold_free.push(id);
-        self.live_nodes -= 1;
-        self.cold[id as usize]
-            .take()
-            // INVARIANT: every live slot is allocated with a payload and
-            // taken exactly once; a second take is arena corruption and
-            // must abort.
-            .expect("wheel cold slot taken twice")
-    }
-
     /// A fresh (empty, detached) chunk — recycled or grown.
     fn alloc_chunk(&mut self) -> u32 {
         if self.chunk_free != NIL {
             let c = self.chunk_free;
             self.chunk_free = self.chunks[c as usize].next;
-            self.chunks[c as usize].next = NIL;
-            self.chunks[c as usize].len = 0;
+            self.chunks[c as usize] = Chunk { next: NIL, len: 0 };
+            self.stats.chunk_reuses += 1;
             c
         } else {
             let c = self.chunks.len() as u32;
-            self.chunks.push(Chunk::new());
+            self.chunks.push(Chunk { next: NIL, len: 0 });
+            self.slab.resize_with(self.slab.len() + CHUNK_CAP, || None);
+            self.stats.chunk_allocs += 1;
             c
         }
     }
 
-    /// Returns chunk `c` to the free list. Callers walking a chunk list
-    /// must read `.next` *before* this — it becomes the free-list link.
+    /// Returns the emptied chunk `c` to the free list. Callers walking a
+    /// chunk list must read `.next` *before* this — it becomes the
+    /// free-list link.
     fn free_chunk(&mut self, c: u32) {
         self.chunks[c as usize].next = self.chunk_free;
         self.chunk_free = c;
     }
 
-    /// Appends one hot entry to the bucket list rooted at
-    /// `heads[bucket]`/`tails[bucket]` (tail append preserves seq order).
-    fn bucket_push(&mut self, bucket: usize, e: ChunkEntry) {
-        let mut tail = self.tails[bucket];
+    /// Detaches list `list` and returns its head chunk.
+    fn take_list(&mut self, list: usize) -> u32 {
+        self.tails[list] = NIL;
+        std::mem::replace(&mut self.heads[list], NIL)
+    }
+
+    /// Appends one event to list `list` (tail append preserves seq
+    /// order).
+    fn list_push(&mut self, list: usize, e: WheelEntry<E>) {
+        let mut tail = self.tails[list];
         if tail == NIL || self.chunks[tail as usize].len as usize == CHUNK_CAP {
             let c = self.alloc_chunk();
             if tail == NIL {
-                self.heads[bucket] = c;
+                self.heads[list] = c;
             } else {
                 self.chunks[tail as usize].next = c;
             }
-            self.tails[bucket] = c;
+            self.tails[list] = c;
             tail = c;
         }
-        let ch = &mut self.chunks[tail as usize];
-        ch.entries[ch.len as usize] = e;
-        ch.len += 1;
+        let chunk = &mut self.chunks[tail as usize];
+        self.slab[tail as usize * CHUNK_CAP + chunk.len as usize] = Some(e);
+        chunk.len += 1;
     }
 
     fn push(&mut self, e: WheelEntry<E>) {
@@ -619,12 +601,9 @@ impl<E> Wheel<E> {
         if e.time <= self.base {
             self.cursor_insert(e);
         } else {
-            let entry = ChunkEntry {
-                time: e.time,
-                seq: e.seq,
-                cold: self.alloc_cold(e.event),
-            };
-            self.place_entry(entry);
+            self.live += 1;
+            self.stats.node_peak_live = self.stats.node_peak_live.max(self.live);
+            self.place_entry(e);
         }
     }
 
@@ -653,31 +632,18 @@ impl<E> Wheel<E> {
         }
     }
 
-    /// Files a hot entry (whose time is > `base`) into its slot bucket
-    /// (or the overflow list). Moves 24 bytes — the payload stays put.
-    fn place_entry(&mut self, e: ChunkEntry) {
+    /// Files an event (whose time is > `base`) into its slot bucket or
+    /// the overflow list.
+    fn place_entry(&mut self, e: WheelEntry<E>) {
         debug_assert!(e.time > self.base);
         let level = ((63 - (e.time ^ self.base).leading_zeros()) / SLOT_BITS) as usize;
         if level >= LEVELS {
             self.stats.overflow_pushes += 1;
-            let mut tail = self.overflow_tail;
-            if tail == NIL || self.chunks[tail as usize].len as usize == CHUNK_CAP {
-                let c = self.alloc_chunk();
-                if tail == NIL {
-                    self.overflow_head = c;
-                } else {
-                    self.chunks[tail as usize].next = c;
-                }
-                self.overflow_tail = c;
-                tail = c;
-            }
-            let ch = &mut self.chunks[tail as usize];
-            ch.entries[ch.len as usize] = e;
-            ch.len += 1;
+            self.list_push(OVERFLOW, e);
         } else {
             let idx = ((e.time >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
             self.occ[level] |= 1 << idx;
-            self.bucket_push(level * SLOTS + idx, e);
+            self.list_push(level * SLOTS + idx, e);
         }
     }
 
@@ -693,13 +659,23 @@ impl<E> Wheel<E> {
         Some(e)
     }
 
-    fn drain_instant(&mut self, out: &mut VecDeque<(u64, E)>) -> Option<u64> {
+    /// Moves the earliest instant's events into the empty `out`. When
+    /// the cursor holds that instant alone (the `run_until` case: a refill
+    /// loads one instant) the two deques swap, so `out`'s old
+    /// allocation becomes the next cursor and no event is touched.
+    fn drain_instant(&mut self, out: &mut VecDeque<WheelEntry<E>>) -> Option<u64> {
+        debug_assert!(out.is_empty());
         self.ensure_cursor();
         let time = self.cursor.front()?.time;
-        while self.cursor.front().is_some_and(|e| e.time == time) {
-            if let Some(e) = self.cursor.pop_front() {
-                self.len -= 1;
-                out.push_back((e.seq, e.event));
+        if self.cursor.back().is_some_and(|e| e.time == time) {
+            std::mem::swap(&mut self.cursor, out);
+            self.len -= out.len();
+        } else {
+            while self.cursor.front().is_some_and(|e| e.time == time) {
+                if let Some(e) = self.cursor.pop_front() {
+                    self.len -= 1;
+                    out.push_back(e);
+                }
             }
         }
         Some(time)
@@ -707,18 +683,19 @@ impl<E> Wheel<E> {
 
     /// Re-inserts a drained-but-unprocessed batch tail. The tail's seqs
     /// all predate anything pushed since the drain, so the whole block
-    /// belongs at the very front of the ready queue.
+    /// belongs at the very front of the ready queue: the cursor is
+    /// appended to the tail and the two deques swap, leaving `tail`
+    /// empty.
     // simlint::unit(us)
-    fn restore(&mut self, time: u64, tail: impl DoubleEndedIterator<Item = (u64, E)>) {
-        let mut restored = 0usize;
-        for (seq, event) in tail.rev() {
-            debug_assert!(self
-                .cursor
-                .front()
-                .is_none_or(|f| (time, seq) < (f.time, f.seq)));
-            self.cursor.push_front(WheelEntry { time, seq, event });
-            restored += 1;
-        }
+    fn restore(&mut self, time: u64, tail: &mut VecDeque<WheelEntry<E>>) {
+        debug_assert!(tail.iter().all(|e| e.time == time));
+        debug_assert!(tail
+            .back()
+            .zip(self.cursor.front())
+            .is_none_or(|(b, f)| (b.time, b.seq) < (f.time, f.seq)));
+        let restored = tail.len();
+        tail.append(&mut self.cursor);
+        std::mem::swap(&mut self.cursor, tail);
         self.len += restored;
         if self.len == restored {
             self.base = time;
@@ -731,41 +708,36 @@ impl<E> Wheel<E> {
         self.occ = [0; LEVELS];
         self.heads.fill(NIL);
         self.tails.fill(NIL);
-        self.overflow_head = NIL;
-        self.overflow_tail = NIL;
         self.chunks.clear();
+        self.slab.clear();
         self.chunk_free = NIL;
-        self.cold.clear();
-        self.cold_free.clear();
-        self.live_nodes = 0;
+        self.live = 0;
         self.len = 0;
     }
 
-    /// Drains the chunk list starting at `cur`: entries at or before
-    /// `base` move to the cursor (payload and all), later ones re-file
-    /// into lower buckets. Consumed chunks return to the free list.
-    /// Returns the number of entries moved.
+    /// Drains the detached chunk list starting at `cur`: events at or
+    /// before `base` move to the cursor, later ones re-file into lower
+    /// buckets. Consumed chunks return to the free list. Returns the
+    /// number of events moved.
     fn drain_chunk_list(&mut self, mut cur: u32) -> u64 {
         let mut moved = 0u64;
         while cur != NIL {
             // Read the link first: free_chunk repurposes `next`, and
             // place_entry may recycle chunks freed earlier in this walk.
-            let next = self.chunks[cur as usize].next;
-            let n = self.chunks[cur as usize].len as usize;
-            for i in 0..n {
-                let e = self.chunks[cur as usize].entries[i];
+            let Chunk { next, len } = self.chunks[cur as usize];
+            let start = cur as usize * CHUNK_CAP;
+            for i in start..start + len as usize {
+                // INVARIANT: a chunk's occupied prefix holds events, each
+                // taken exactly once before the chunk is freed.
+                let e = self.slab[i].take().expect("wheel chunk entry taken twice");
                 if e.time <= self.base {
-                    let event = self.take_cold(e.cold);
-                    self.cursor.push_back(WheelEntry {
-                        time: e.time,
-                        seq: e.seq,
-                        event,
-                    });
+                    self.live -= 1;
+                    self.cursor.push_back(e);
                 } else {
                     self.place_entry(e);
                 }
             }
-            moved += n as u64;
+            moved += u64::from(len);
             self.free_chunk(cur);
             cur = next;
         }
@@ -775,12 +747,11 @@ impl<E> Wheel<E> {
     /// Moves `base` forward to the next pending instant and loads its
     /// events into the (empty) cursor. Called only with `len > 0`.
     ///
-    /// Cost is proportional to the entries actually moved: a cascade
-    /// streams a bucket's chunks front to back (sequential 24-byte
-    /// reads), appends survivors to the ≤ [`SLOTS`] destination tail
-    /// chunks (near-sequential writes), and the jump logic skips empty
-    /// spans through the occupancy bitmaps without touching any entry
-    /// at all. Payloads never move.
+    /// Cost is proportional to the events actually moved: a cascade
+    /// streams a bucket's chunks front to back (sequential reads),
+    /// appends survivors to the ≤ [`SLOTS`] destination tail chunks
+    /// (near-sequential writes), and the jump logic skips empty spans
+    /// through the occupancy bitmaps without touching any event at all.
     fn advance(&mut self) {
         debug_assert!(self.cursor.is_empty() && self.len > 0);
         loop {
@@ -791,13 +762,11 @@ impl<E> Wheel<E> {
                 let idx = self.level_index(level);
                 if self.occ[level] & (1 << idx) != 0 {
                     self.occ[level] &= !(1 << idx);
-                    let bucket = level * SLOTS + idx;
-                    let head = self.heads[bucket];
-                    self.heads[bucket] = NIL;
-                    self.tails[bucket] = NIL;
+                    let head = self.take_list(level * SLOTS + idx);
                     self.stats.cascades += 1;
                     let moved = self.drain_chunk_list(head);
                     self.stats.cascade_entries += moved;
+                    self.stats.cascade_entries_by_level[level] += moved;
                     self.stats.max_bucket_len = self.stats.max_bucket_len.max(moved);
                 }
             }
@@ -814,11 +783,7 @@ impl<E> Wheel<E> {
                 let idx = self.level_index(0);
                 self.occ[0] &= !(1 << idx);
                 self.stats.level0_jumps += 1;
-                let head = self.heads[idx];
-                self.heads[idx] = NIL;
-                self.tails[idx] = NIL;
-                // A level-0 bucket holds exactly one instant, in seq
-                // order: every entry goes straight to the cursor.
+                let head = self.take_list(idx);
                 let moved = self.drain_chunk_list(head);
                 self.stats.max_bucket_len = self.stats.max_bucket_len.max(moved);
                 return;
@@ -840,21 +805,20 @@ impl<E> Wheel<E> {
             // Everything pending is in the overflow: rebase onto its
             // minimum and re-place. Entries still ≥ 2^36 µs out simply
             // return to the (freshly emptied) overflow list, in order.
-            debug_assert!(self.overflow_head != NIL, "len > 0 but nothing pending");
+            debug_assert!(self.heads[OVERFLOW] != NIL, "len > 0 but nothing pending");
             self.stats.overflow_rebases += 1;
             let mut min = u64::MAX;
-            let mut cur = self.overflow_head;
+            let mut cur = self.heads[OVERFLOW];
             while cur != NIL {
-                let ch = &self.chunks[cur as usize];
-                for e in &ch.entries[..ch.len as usize] {
+                let Chunk { next, len } = self.chunks[cur as usize];
+                let start = cur as usize * CHUNK_CAP;
+                for e in self.slab[start..start + len as usize].iter().flatten() {
                     min = min.min(e.time);
                 }
-                cur = ch.next;
+                cur = next;
             }
             self.base = min;
-            let head = self.overflow_head;
-            self.overflow_head = NIL;
-            self.overflow_tail = NIL;
+            let head = self.take_list(OVERFLOW);
             self.drain_chunk_list(head);
         }
     }
@@ -864,6 +828,7 @@ impl<E> Wheel<E> {
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+    use std::rc::Rc;
 
     /// Runs a queue test against both backends.
     fn on_both(f: impl Fn(QueueKind)) {
@@ -1102,40 +1067,141 @@ mod tests {
         assert_eq!(a.overflow_pushes, 1);
         assert_eq!(a.overflow_rebases, 1);
         assert!(a.max_bucket_len >= 1);
-        assert!(a.node_allocs > 0, "slot-resident pushes use the arena");
+        assert_eq!(a.cascade_entries_by_level[0], 0, "level 0 never cascades");
         assert_eq!(
-            a.node_peak_live, a.node_allocs,
-            "a push-everything-then-drain schedule never recycles a node"
+            a.cascade_entries_by_level.iter().sum::<u64>(),
+            a.cascade_entries
         );
+        // Everything but the t = 0 event (which goes straight to the
+        // ready queue) was bucket-resident before the first pop.
+        assert_eq!(a.node_peak_live, 500);
+        assert!(a.chunk_allocs > 0, "slot-resident pushes use chunks");
+        assert!(a.chunk_allocs <= a.chunk_allocs_ceiling());
     }
 
-    /// The allocation-free steady state at queue level: once the live
-    /// population peaks, every later push recycles a freed arena slot and
-    /// `node_allocs` stops moving.
+    /// The allocation-free steady state at queue level: once the chunk
+    /// population peaks, every later bucket append that needs a chunk
+    /// recycles a spent one and `chunk_allocs` stops moving.
     #[test]
     fn wheel_arena_recycles_nodes_in_steady_state() {
         let mut q = EventQueue::with_kind(QueueKind::Wheel);
-        let mut now = 0u64;
-        // Warmup: 64 pending timers spread far enough apart to live in
-        // slots (not the cursor).
+        // 64 pending timers spread far enough apart to live in slots
+        // (not the cursor).
         for i in 0..64u64 {
             q.push(SimTime::from_micros(1_000 + i * 1_000), i);
         }
+        // Pop one, reschedule one: first to warm up, then measured.
+        let churn = |q: &mut EventQueue<u64>, rounds: u64| {
+            for i in 0..rounds {
+                let (t, _) = q.pop().unwrap();
+                q.push(t + SimDuration::from_millis(64), i);
+            }
+        };
+        churn(&mut q, 2_000);
         let warm = q.wheel_stats().unwrap();
-        assert_eq!(warm.node_allocs, 64);
-        // Steady state: pop one, reschedule one, many times over.
-        for i in 0..1_000u64 {
-            let (t, _) = q.pop().unwrap();
-            now = t.as_micros();
-            q.push(SimTime::from_micros(now + 64_000), i);
-        }
+        churn(&mut q, 10_000);
         let s = q.wheel_stats().unwrap();
         assert_eq!(
-            s.node_allocs, warm.node_allocs,
+            s.chunk_allocs, warm.chunk_allocs,
             "steady-state churn must be served entirely off the free list"
         );
-        assert!(s.node_reuses >= 1_000);
+        assert!(s.chunk_reuses >= warm.chunk_reuses + 10_000);
+        assert!(s.chunk_allocs <= s.chunk_allocs_ceiling());
         assert_eq!(s.node_peak_live, 64);
+    }
+
+    /// Every payload is a clone of one `Rc`, so its strong count tracks
+    /// exactly how many payloads are alive wherever the queue moved
+    /// them: a leak keeps the count up, a lost or early drop brings it
+    /// down.
+    #[test]
+    fn payloads_are_dropped_exactly_once_on_every_path() {
+        on_both(|kind| {
+            let token = Rc::new(());
+            let tracked = || Rc::clone(&token);
+            let live = || Rc::strong_count(&token) - 1;
+            let mut q = EventQueue::with_kind(kind);
+            // Delays on every level, one past the wheel span, and a
+            // same-instant run long enough to fill several chunks.
+            let far = SimTime::from_secs(100_000);
+            for shift in 0..36 {
+                q.push(SimTime::from_micros(3 + (1 << shift)), tracked());
+            }
+            q.push(far, tracked());
+            let t = SimTime::from_micros(5_000_000);
+            for _ in 0..300 {
+                q.push(t, tracked());
+            }
+            assert_eq!(live(), 337);
+            // Pops, cascades and level jumps move payloads without
+            // cloning or leaking them.
+            for _ in 0..20 {
+                drop(q.pop().unwrap());
+            }
+            assert_eq!(live(), 317);
+            // Drain the 300-event instant and halt mid-batch.
+            let mut batch = InstantBatch::new();
+            while q.drain_instant(&mut batch) != Some(t) {
+                while let Some(e) = batch.next_event() {
+                    drop(e);
+                }
+            }
+            assert_eq!(batch.remaining(), 300);
+            for _ in 0..100 {
+                drop(batch.next_event().unwrap());
+            }
+            q.push(t, tracked());
+            q.restore(&mut batch);
+            assert_eq!(batch.remaining(), 0);
+            assert_eq!(live(), q.len());
+            assert_eq!(q.drain_instant(&mut batch), Some(t));
+            assert_eq!(batch.remaining(), 201);
+            for _ in 0..50 {
+                drop(batch.next_event().unwrap());
+            }
+            // clear() drops everything pending; the batch still owns its
+            // unconsumed tail until it is dropped.
+            q.clear();
+            assert_eq!(live(), batch.remaining());
+            drop(batch);
+            assert_eq!(live(), 0);
+            // Dropping the queue drops whatever is still pending,
+            // including bucket- and overflow-resident payloads.
+            for shift in 0..40 {
+                q.push(SimTime::from_micros(1 << shift), tracked());
+            }
+            q.push(SimTime::ZERO, tracked());
+            drop(q.pop());
+            assert_eq!(live(), 40);
+            drop(q);
+            assert_eq!(live(), 0);
+        });
+    }
+
+    /// After `peek_time` has moved the wheel's origin past the instant
+    /// a caller still considers "now", a push below the origin joins the
+    /// ready queue ahead of the peeked instant, which then holds two
+    /// instants: `drain_instant` must hand over only the earlier one.
+    #[test]
+    fn drain_instant_splits_a_two_instant_ready_queue() {
+        on_both(|kind| {
+            let mut q = EventQueue::with_kind(kind);
+            let late = SimTime::from_millis(9);
+            q.push(late, 1);
+            q.push(late, 2);
+            assert_eq!(q.peek_time(), Some(late));
+            let early = SimTime::from_millis(4);
+            q.push(early, 0);
+            let mut batch = InstantBatch::new();
+            assert_eq!(q.drain_instant(&mut batch), Some(early));
+            assert_eq!(batch.remaining(), 1);
+            assert_eq!(batch.next_event(), Some(0));
+            assert_eq!(q.len(), 2);
+            assert_eq!(q.drain_instant(&mut batch), Some(late));
+            assert_eq!(batch.next_event(), Some(1));
+            assert_eq!(batch.next_event(), Some(2));
+            assert!(q.is_empty());
+        });
     }
 
     #[test]

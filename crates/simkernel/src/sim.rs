@@ -182,6 +182,11 @@ pub struct Simulation<M: Model> {
     /// `Some` only after [`Simulation::enable_profiling`]; the unprofiled
     /// path pays one branch per hook and nothing else.
     prof: Option<KernelProfiler>,
+    /// The instant being handled by [`Simulation::run_until`]; empty
+    /// between calls. Kept here so its allocation survives across calls:
+    /// the wheel swaps its ready queue into the batch, so a batch dropped
+    /// per call would take the ready queue's grown buffer with it.
+    batch: InstantBatch<M::Event>,
 }
 
 impl<M: Model> Simulation<M> {
@@ -201,6 +206,7 @@ impl<M: Model> Simulation<M> {
             now: SimTime::ZERO,
             events_processed: 0,
             prof: None,
+            batch: InstantBatch::new(),
         }
     }
 
@@ -332,7 +338,6 @@ impl<M: Model> Simulation<M> {
     /// semantics exactly.
     pub fn run_until(&mut self, horizon: SimTime) -> RunReport {
         let start_count = self.events_processed;
-        let mut batch = InstantBatch::new();
         loop {
             let d0 = self.prof.as_ref().map(KernelProfiler::clock_ns);
             match self.queue.peek_time() {
@@ -354,14 +359,14 @@ impl<M: Model> Simulation<M> {
                 Some(_) => {
                     let time = self
                         .queue
-                        .drain_instant(&mut batch)
+                        .drain_instant(&mut self.batch)
                         // simlint::allow(panic-hygiene): peek_time() just returned Some and nothing else pops the queue
                         .expect("peeked event vanished");
                     if let (Some(prof), Some(d0)) = (self.prof.as_mut(), d0) {
                         prof.phase_add(Phase::Drain, d0);
                     }
                     self.now = time;
-                    while let Some(event) = batch.next_event() {
+                    while let Some(event) = self.batch.next_event() {
                         let kind = if self.prof.is_some() {
                             M::event_kind(&event)
                         } else {
@@ -373,7 +378,7 @@ impl<M: Model> Simulation<M> {
                             now: time,
                             queue: &mut self.queue,
                             halt: &mut halt,
-                            batch_pending: batch.remaining(),
+                            batch_pending: self.batch.remaining(),
                             prof: self.prof.as_mut(),
                         };
                         self.model.handle(time, event, &mut sched);
@@ -382,7 +387,7 @@ impl<M: Model> Simulation<M> {
                         }
                         self.events_processed += 1;
                         if halt {
-                            self.queue.restore(&mut batch);
+                            self.queue.restore(&mut self.batch);
                             return RunReport {
                                 events_processed: self.events_processed - start_count,
                                 end_time: self.now,

@@ -7,6 +7,21 @@ use mlb_simkernel::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 use rand::{RngCore, SeedableRng};
 
+/// A push offset in µs, log-uniform below 2^38: octave `k > 0` draws
+/// from `[2^(k-1), 2^k)`, so every wheel level and the overflow (≥ 2^36)
+/// get direct pushes at equal odds. One draw in eight instead lands
+/// within 1 µs of the 64 or 4 096 µs level boundary.
+fn log_uniform_offset(octave: u32, mantissa: u64) -> u64 {
+    if mantissa.is_multiple_of(8) {
+        let edge = if mantissa & 8 == 0 { 64 } else { 4_096 };
+        return edge - 1 + (mantissa >> 4) % 3;
+    }
+    match octave {
+        0 => 0,
+        k => (1 << (k - 1)) + (mantissa >> 3) % (1 << (k - 1)),
+    }
+}
+
 proptest! {
     /// Popping always yields events in non-decreasing time order, with
     /// FIFO order among equal timestamps.
@@ -40,7 +55,7 @@ proptest! {
             q.push(SimTime::from_micros(t), t);
         }
         let mut popped: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        let mut expected = times.clone();
+        let mut expected = times;
         popped.sort_unstable();
         expected.sort_unstable();
         prop_assert_eq!(popped, expected);
@@ -49,23 +64,24 @@ proptest! {
     /// The timer wheel and the `BinaryHeap` reference implementation pop
     /// identical (time, event) sequences under random push/pop
     /// interleavings — including same-instant bursts and pushes that
-    /// land across every wheel level up to the overflow arena. This is
+    /// land directly on every wheel level, on both sides of the 64 and
+    /// 4 096 µs level boundaries, and in the overflow list. This is
     /// the differential proof that makes the wheel a drop-in default:
     /// any ordering divergence would change golden digests.
     #[test]
     fn wheel_and_heap_agree_on_random_interleavings(
-        ops in proptest::collection::vec((0u8..5, 0u64..1 << 38, 1u8..5), 1..300)
+        ops in proptest::collection::vec((0u8..5, 0u32..39, any::<u64>(), 1u8..5), 1..300)
     ) {
         let mut wheel = EventQueue::with_kind(QueueKind::Wheel);
         let mut heap = EventQueue::with_kind(QueueKind::Heap);
         let mut now = 0u64;
         let mut next_event = 0u64;
-        for &(op, offset, burst) in &ops {
+        for &(op, octave, mantissa, burst) in &ops {
             if op < 3 {
                 // Push; op == 2 makes it a same-instant burst. Offsets up
                 // to 2^38 µs overflow the wheel's 2^36 µs span, so the
-                // overflow arena is exercised too.
-                let t = SimTime::from_micros(now + offset);
+                // overflow list is exercised too.
+                let t = SimTime::from_micros(now + log_uniform_offset(octave, mantissa));
                 let n = if op == 2 { burst as u64 } else { 1 };
                 for _ in 0..n {
                     wheel.push(t, next_event);
@@ -130,6 +146,79 @@ proptest! {
         prop_assert!(wheel.is_empty());
     }
 
+    /// `run_until` peeks at the next instant and stops at its horizon,
+    /// which leaves the wheel's origin on that instant; the caller may
+    /// then push events *before* it. The wheel's ready queue then holds
+    /// two instants, so `drain_instant` must split it (instead of
+    /// handing the whole queue over), and a mid-batch `restore` must
+    /// put the tail back ahead of the later instant. Every batch must
+    /// equal the heap's pops for that instant.
+    #[test]
+    fn drain_instant_matches_heap_after_peek_moves_the_origin(
+        pending in proptest::collection::vec((0u32..39, any::<u64>()), 1..100),
+        rounds in proptest::collection::vec((0u32..39, any::<u64>(), 0u8..4), 1..60),
+        halt_round in 0usize..60
+    ) {
+        let mut wheel = EventQueue::with_kind(QueueKind::Wheel);
+        let mut heap = EventQueue::with_kind(QueueKind::Heap);
+        let mut next_event = 0u64;
+        let mut push_both = |t: SimTime, wheel: &mut EventQueue<u64>, heap: &mut EventQueue<u64>| {
+            wheel.push(t, next_event);
+            heap.push(t, next_event);
+            next_event += 1;
+        };
+        for &(octave, mantissa) in &pending {
+            let t = SimTime::from_micros(log_uniform_offset(octave, mantissa));
+            push_both(t, &mut wheel, &mut heap);
+        }
+        let mut now = 0u64;
+        let mut batch = InstantBatch::new();
+        let mut round = 0usize;
+        loop {
+            let peeked = wheel.peek_time();
+            prop_assert_eq!(peeked, heap.peek_time(), "peek diverged");
+            let Some(peeked) = peeked else { break };
+            let spec = rounds.get(round).copied();
+            if let Some((octave, mantissa, early)) = spec {
+                // Horizon stop: pushes between `now` and the peeked
+                // instant, i.e. below the wheel's origin.
+                let gap = peeked.as_micros() - now;
+                for i in 0..u64::from(early) {
+                    let t = now + (log_uniform_offset(octave, mantissa) + i) % gap.max(1);
+                    push_both(SimTime::from_micros(t), &mut wheel, &mut heap);
+                }
+            }
+            let time = wheel.drain_instant(&mut batch);
+            prop_assert!(time.is_some(), "peeked queue drained nothing");
+            let time = time.unwrap_or(SimTime::ZERO);
+            prop_assert!(time.as_micros() >= now);
+            now = time.as_micros();
+            let mut consumed = 0usize;
+            while let Some(event) = batch.next_event() {
+                prop_assert_eq!(heap.pop(), Some((time, event)), "batch diverged");
+                consumed += 1;
+                if round == halt_round && consumed == 1 && batch.remaining() > 0 {
+                    // The model schedules at the current instant, then
+                    // halts: the unconsumed tail goes back.
+                    push_both(time, &mut wheel, &mut heap);
+                    wheel.restore(&mut batch);
+                    break;
+                }
+            }
+            // The batch held the whole instant (unless it was restored).
+            if round != halt_round {
+                prop_assert!(heap.peek_time().is_none_or(|t| t > time), "instant split");
+            }
+            if let Some((octave, mantissa, _)) = spec {
+                // Keep the wheel busy: one more event further out.
+                let t = SimTime::from_micros(now + 1 + log_uniform_offset(octave, mantissa));
+                push_both(t, &mut wheel, &mut heap);
+            }
+            round += 1;
+        }
+        prop_assert!(wheel.is_empty() && heap.is_empty());
+    }
+
     /// Pre-sizing is invisible: a queue built with any `with_capacity`
     /// value pops exactly the same sequence as a default-built one, for
     /// both backends. (`build_simulation` pre-sizes from the configured
@@ -159,10 +248,10 @@ proptest! {
 
     /// Paper-shaped bimodal churn — dense sub-millisecond hops mixed
     /// with 1-in-16 think-time-like multi-second sleeps — drives the
-    /// exact cascade storms that once inverted the 64× sweep. The packed
+    /// exact cascade storms that once inverted the 64× sweep. The chunked
     /// wheel must still agree with the heap event-for-event, and its
-    /// node arena must recycle: fresh growth equals peak liveness, never
-    /// the churn volume.
+    /// chunks must recycle: fresh growth stays within what the peak
+    /// bucket population needs, never the churn volume.
     #[test]
     fn bimodal_storm_churn_matches_heap_and_recycles_nodes(
         seed in any::<u64>(),
@@ -203,9 +292,9 @@ proptest! {
             }
         }
         let stats = wheel.wheel_stats().expect("wheel backend has stats");
-        prop_assert_eq!(
-            stats.node_allocs, stats.node_peak_live,
-            "node arena grew past peak liveness — free list not recycling"
+        prop_assert!(
+            stats.chunk_allocs <= stats.chunk_allocs_ceiling(),
+            "chunks grew past what peak liveness needs — free list not recycling"
         );
     }
 

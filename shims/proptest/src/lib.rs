@@ -765,11 +765,8 @@ mod tests {
             }
             found += 1;
             let mut cur = v;
-            loop {
-                match Strategy::shrink(&strat, &cur).into_iter().find(&fails) {
-                    Some(smaller) => cur = smaller,
-                    None => break,
-                }
+            while let Some(smaller) = Strategy::shrink(&strat, &cur).into_iter().find(&fails) {
+                cur = smaller;
             }
             assert!(fails(&cur), "shrinking must preserve the failure");
             // Minimal counterexamples have one just-big-enough element
@@ -788,14 +785,11 @@ mod tests {
         let strat = 5u64..1_000;
         // Failing predicate: v >= 40. Minimal counterexample is 40.
         let mut cur = 777u64;
-        loop {
-            match Strategy::shrink(&strat, &cur)
-                .into_iter()
-                .find(|&c| c >= 40)
-            {
-                Some(c) => cur = c,
-                None => break,
-            }
+        while let Some(c) = Strategy::shrink(&strat, &cur)
+            .into_iter()
+            .find(|&c| c >= 40)
+        {
+            cur = c;
         }
         assert_eq!(cur, 40);
     }

@@ -1,6 +1,6 @@
 //! The allocation-free steady state, end to end: after warmup the
-//! request arena and the wheel's node arena serve every insert off a
-//! free list, so fresh growth stops. This is the invariant the packed
+//! request arena and the wheel's bucket chunks serve every insert off a
+//! free list, so fresh growth stops. This is the invariant the chunked
 //! event-queue storage exists to protect — growth during the measured
 //! window means realloc churn on the hot path, which is exactly the
 //! pathology that collapsed the 64× sweep.
@@ -23,36 +23,55 @@ fn paper_cfg(kind: QueueKind) -> SystemConfig {
     cfg
 }
 
-/// (total inserts, second-half fresh allocations) across the request
-/// arena and (on the wheel) the node arena.
-fn halves(kind: QueueKind) -> (u64, u64) {
+/// Inserts and second-half fresh allocations of one store.
+struct Halves {
+    inserts: u64,
+    second_half: u64,
+}
+
+/// [`Halves`] of the request arena and (on the wheel) of the bucket
+/// chunks.
+fn halves(kind: QueueKind) -> (Halves, Option<Halves>) {
     let mut sim: Simulation<NTierSystem> =
         NTierSystem::build_simulation(paper_cfg(kind)).expect("paper preset is valid");
     sim.run_until(SimTime::from_micros(1_000_000));
-    let mid = sim.model().arena_stats().allocs + sim.wheel_stats().map_or(0, |w| w.node_allocs);
+    let mid_arena = sim.model().arena_stats().allocs;
+    let mid_chunks = sim.wheel_stats().map(|w| w.chunk_allocs);
     sim.run_until(SimTime::from_micros(2_000_000));
     let arena = sim.model().arena_stats();
-    let wheel = sim.wheel_stats();
-    let end = arena.allocs + wheel.map_or(0, |w| w.node_allocs);
-    let inserts = arena.allocs + arena.reuses + wheel.map_or(0, |w| w.node_allocs + w.node_reuses);
-    (inserts, end - mid)
+    let chunks = sim.wheel_stats().zip(mid_chunks).map(|(w, mid)| Halves {
+        inserts: w.chunk_allocs + w.chunk_reuses,
+        second_half: w.chunk_allocs - mid,
+    });
+    let arena = Halves {
+        inserts: arena.allocs + arena.reuses,
+        second_half: arena.allocs - mid_arena,
+    };
+    (arena, chunks)
 }
 
 #[test]
 fn paper_4x4_second_half_allocates_nothing_fresh() {
     for kind in [QueueKind::Wheel, QueueKind::Heap] {
-        let (inserts, second_half) = halves(kind);
-        assert!(inserts > 0, "{kind:?}: the run must exercise the arenas");
-        // Arena growth tracks *peak liveness*, not insert volume, so the
-        // steady state recycles virtually every insert. The gauge is
-        // fresh second-half slots as a fraction of all inserts: a broken
-        // free list allocates per insert (~50% lands in the second
-        // half); a healthy one shows only stochastic extreme-value creep
-        // of the liveness peak (orders of magnitude below 1%).
-        assert!(
-            second_half as f64 <= inserts as f64 * 0.01,
-            "{kind:?}: {second_half} fresh slots in the second half of {inserts} inserts"
-        );
+        let (arena, chunks) = halves(kind);
+        assert_eq!(chunks.is_some(), kind == QueueKind::Wheel);
+        for (store, h) in [("request arena", Some(arena)), ("wheel chunks", chunks)] {
+            let Some(h) = h else { continue };
+            assert!(h.inserts > 0, "{kind:?}: the run must exercise the {store}");
+            // Growth tracks *peak liveness*, not insert volume, so the
+            // steady state recycles virtually every insert. The gauge is
+            // fresh second-half allocations as a fraction of all
+            // inserts: a broken free list allocates per insert (~50%
+            // lands in the second half); a healthy one shows only
+            // stochastic extreme-value creep of the liveness peak
+            // (orders of magnitude below 1%).
+            assert!(
+                h.second_half as f64 <= h.inserts as f64 * 0.01,
+                "{kind:?}: {} fresh {store} allocations in the second half of {} inserts",
+                h.second_half,
+                h.inserts
+            );
+        }
     }
 }
 
@@ -70,9 +89,11 @@ fn paper_4x4_steady_state_recycles_on_both_arenas() {
         arena.peak_live
     );
     let wheel = sim.wheel_stats().expect("wheel backend");
-    assert!(wheel.node_reuses > 0, "wheel node arena never recycled");
-    assert_eq!(
-        wheel.node_allocs, wheel.node_peak_live,
-        "wheel node arena grew past peak liveness"
+    assert!(wheel.chunk_reuses > 0, "wheel chunks never recycled");
+    assert!(
+        wheel.chunk_allocs <= wheel.chunk_allocs_ceiling(),
+        "wheel chunks ({}) grew past what peak liveness ({}) needs",
+        wheel.chunk_allocs,
+        wheel.node_peak_live
     );
 }
