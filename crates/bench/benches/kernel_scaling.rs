@@ -1,9 +1,16 @@
-//! Population scale-sweep bench: the first entry of the BENCH trajectory.
+//! Population scale-sweep bench.
 //!
-//! Runs `paper_4x4` at growing client populations under both event-queue
-//! backends and writes `BENCH_kernel.json` at the workspace root (CI
-//! archives it per commit). Gates:
+//! Runs `paper_4x4` (`current_load` + `skip_to_busy`) with every tier
+//! multiplied at 1×/4×/16×/64× under both event-queue backends and writes
+//! `BENCH_kernel.json` at the workspace root (CI archives it per commit).
+//! Gates:
 //!
+//! * **exact counters (smoke)** — every seed's deterministic work
+//!   counters (`RunCounters`) must equal the committed
+//!   `fixtures/kernel_smoke_counters.txt` cell for cell. Any difference
+//!   is a behaviour or placement change: the gate names the cells and
+//!   prints the measured table in the file's format, and a change that
+//!   means it replaces the file and says why.
 //! * **kernel (hold churn)** — at 16× the paper's population (1.12 M
 //!   pending events) the wheel must push/pop at least 3× as fast as the
 //!   `BinaryHeap` baseline. This is the data structure measured alone.
@@ -14,28 +21,25 @@
 //! * **no inversion anywhere** — the wheel must match or beat the heap
 //!   at *every* measured scale. Gating only 16× is how a 0.25× collapse
 //!   at 64× once landed silently.
-//! * **allocation-free steady state** — the wheel's bucket chunks must
-//!   stop growing after warmup at every scale (think-timer liveness
-//!   peaks when the population first sleeps), and never exceed the
-//!   chunk count the peak bucket population can need. The request
-//!   arena legitimately ramps with in-flight liveness at overloaded
-//!   scales, so it is gated structurally instead: growth never exceeds
-//!   peak liveness, the second-half gauge agrees exactly across
-//!   backends (it is model-driven, not backend-driven), and at 1× —
-//!   the only scale that reaches steady state inside the window — the
-//!   second half allocates under 1% of inserts.
+//! * **allocation-free steady state** — at every scale, the wheel's
+//!   bucket chunks and the request arena must stop growing after warmup
+//!   (under 1 % fresh allocations in the second half), chunk growth
+//!   never exceeds what the peak bucket population can need, request
+//!   growth never exceeds peak liveness.
+//!
+//! Every run also checks request conservation and that the two backends
+//! agree on every model counter. Wall-clock numbers are side-by-side
+//! ratios only; cross-commit wall-clock comparisons are perfbench's.
 //!
 //! `MLB_SCALE_SWEEP=smoke` shrinks the sweep to 1×/4× with a short
 //! horizon for CI; the speedup floors relax (CI-sized populations are
 //! too small for the asymptotic win) but the no-inversion and
 //! steady-state gates run at every scale in both modes.
 
-use std::path::PathBuf;
-
 use criterion::{criterion_group, criterion_main, Criterion};
-use mlb_bench::history::{append_record, history_path};
+use mlb_bench::history::write_artifact;
+use mlb_bench::scaling::{counter_mismatches, counter_table, SMOKE_COUNTERS};
 use mlb_bench::{run_scale_sweep, BenchMeta, HoldDist, ScaleSweepConfig, ScaleSweepReport};
-use mlb_simkernel::queue::QueueKind;
 
 /// Kernel acceptance bar: wheel-over-heap queue ops/sec in the hold
 /// churn at the 16× pending-set size.
@@ -51,95 +55,67 @@ const SPEEDUP_FLOOR_EVERYWHERE: f64 = 0.8;
 /// insert volume — a broken free list allocates per insert (~50% of it
 /// in the second half), a healthy one shows only stochastic creep of
 /// the liveness peak, orders of magnitude below this ceiling. Applied
-/// to the wheel's bucket chunks at every scale, and to the request arena
-/// only at 1×: at overloaded scales in-flight liveness is still ramping
-/// at the midpoint, so request-arena growth there is warmup, not churn.
+/// to the wheel's bucket chunks and the request arena at every scale.
 const SECOND_HALF_ALLOC_FRACTION_CEILING: f64 = 0.01;
-
-fn workspace_root() -> PathBuf {
-    // benches run with the package directory (crates/bench) as cwd.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root exists")
-}
 
 /// The no-inversion and allocation-free gates, applied at every measured
 /// scale in both smoke and full mode.
 fn gate_every_scale(report: &ScaleSweepReport) {
-    let seeds = report.config.seeds.len() as u64;
     for &scale in &report.config.scales {
         let s = report.speedup_at(scale).expect("both backends measured");
         assert!(
             s >= SPEEDUP_FLOOR_EVERYWHERE,
             "wheel/heap inversion at {scale}x: {s:.2}x end-to-end — the 64x blind spot is back"
         );
-        let wheel = report
-            .point(scale, QueueKind::Wheel)
-            .expect("wheel point measured");
-        let heap = report
-            .point(scale, QueueKind::Heap)
-            .expect("heap point measured");
-        // The wheel's bucket storage stops growing after warmup at EVERY
-        // scale. Think timers for the whole client population go live in
-        // the first instants of the run, so bucket liveness peaks early
-        // and the chunk free list serves everything after.
-        let chunk_inserts = (wheel.chunk_allocs + wheel.chunk_reuses).max(1);
-        let chunk_frac = wheel.second_half_chunk_allocs as f64 / chunk_inserts as f64;
-        assert!(
-            chunk_frac <= SECOND_HALF_ALLOC_FRACTION_CEILING,
-            "wheel chunks still growing at {scale}x: {} fresh chunks in the \
-             second half of {} chunk inserts ({:.3}%)",
-            wheel.second_half_chunk_allocs,
-            chunk_inserts,
-            chunk_frac * 100.0
-        );
-        // Request-arena growth is model-driven (in-flight request
-        // liveness), so bit-identical backends must report it
-        // bit-identically; divergence means one backend leaks slots.
-        assert_eq!(
-            wheel.second_half_arena_allocs, heap.second_half_arena_allocs,
-            "backends disagree on request-arena growth at {scale}x"
-        );
-        // Structural recycling bound on both arenas: per seed, fresh
-        // allocations never exceed peak liveness (a broken free list
-        // allocates per insert, orders of magnitude past this).
-        for p in [wheel, heap] {
+        let p = report.point(scale).expect("scale measured");
+        // Both arenas stop growing after warmup at EVERY scale. Think
+        // timers for the whole client population go live in the first
+        // instants of the run, so bucket liveness peaks early and the
+        // chunk free list serves everything after; in-flight requests
+        // plateau once the system reaches its operating point. (The heap
+        // runs' request arenas match the wheel's: every run checks it.)
+        for (what, fresh, inserts) in [
+            (
+                "wheel chunks",
+                p.sum(|r| r.second_half_chunk_allocs),
+                p.sum(|r| r.counters.chunk_allocs + r.counters.chunk_reuses),
+            ),
+            (
+                "request arena",
+                p.sum(|r| r.second_half_arena_allocs),
+                p.sum(|r| r.counters.arena_allocs + r.counters.arena_reuses),
+            ),
+        ] {
+            let frac = fresh as f64 / inserts.max(1) as f64;
             assert!(
-                p.arena_allocs <= seeds * p.arena_peak_live.max(1),
-                "request arena grew past peak liveness at {scale}x/{:?}: \
-                 {} allocs vs {} seeds x {} peak",
-                p.queue,
-                p.arena_allocs,
-                seeds,
-                p.arena_peak_live
+                frac <= SECOND_HALF_ALLOC_FRACTION_CEILING,
+                "{what} still growing at {scale}x: {fresh} fresh allocations in the \
+                 second half of {inserts} inserts ({:.3}%)",
+                frac * 100.0
             );
         }
-        assert!(
-            wheel.chunk_allocs <= wheel.chunk_allocs_ceiling,
-            "wheel chunks grew past what peak liveness needs at {scale}x: {} allocs vs \
-             a ceiling of {} over {} seeds",
-            wheel.chunk_allocs,
-            wheel.chunk_allocs_ceiling,
-            seeds
-        );
-        if scale == 1 {
-            // Only the paper-scale point reaches steady state inside the
-            // measured window; larger populations are overloaded and ramp
-            // in-flight liveness (hence fresh request slots) throughout.
-            for p in [wheel, heap] {
-                let inserts = (p.arena_allocs + p.arena_reuses).max(1);
-                let frac = p.second_half_arena_allocs as f64 / inserts as f64;
-                assert!(
-                    frac <= SECOND_HALF_ALLOC_FRACTION_CEILING,
-                    "request arena still growing at steady state (1x/{:?}): {} fresh \
-                     slots in the second half of {} inserts ({:.3}%)",
-                    p.queue,
-                    p.second_half_arena_allocs,
-                    inserts,
-                    frac * 100.0
-                );
-            }
+        // Structural recycling bounds: fresh request slots never exceed
+        // peak liveness in any run, and fresh chunks never exceed what the
+        // peak bucket population can need (a broken free list allocates
+        // per insert, orders of magnitude past both).
+        for r in &p.runs {
+            let c = &r.counters;
+            assert!(
+                c.arena_allocs <= c.arena_peak_live.max(1),
+                "request arena grew past peak liveness at {scale}x seed {}: \
+                 {} allocs vs a peak of {}",
+                r.seed,
+                c.arena_allocs,
+                c.arena_peak_live
+            );
+            assert!(
+                c.chunk_allocs <= r.chunk_allocs_ceiling,
+                "wheel chunks grew past what peak liveness needs at {scale}x seed {}: \
+                 {} allocs vs a ceiling of {}",
+                r.seed,
+                c.chunk_allocs,
+                r.chunk_allocs_ceiling,
+            );
         }
     }
 }
@@ -159,14 +135,27 @@ fn scale_sweep_gate(_c: &mut Criterion) {
         cfg.seeds
     );
     let report = run_scale_sweep(&cfg);
-    let meta = BenchMeta::capture();
-    report.write_json(&workspace_root().join("BENCH_kernel.json"), &meta);
-    let bench_name = if smoke {
-        "kernel_scaling_smoke"
-    } else {
-        "kernel_scaling"
-    };
-    append_record(&history_path(), &report.history_record(&meta, bench_name));
+    write_artifact("BENCH_kernel.json", &report.to_json(&BenchMeta::capture()));
+    // The exact gate first: it is noise-free and names the cells that
+    // moved, where a wall-clock gate could only say something slowed.
+    if smoke {
+        let measured = report.counter_rows();
+        let mismatches =
+            counter_mismatches(SMOKE_COUNTERS, &measured).expect("committed counter table parses");
+        if !mismatches.is_empty() {
+            for m in &mismatches {
+                eprintln!(
+                    "counter gate: {}x seed {} {}: committed {:?}, measured {:?}",
+                    m.scale, m.seed, m.counter, m.expected, m.measured
+                );
+            }
+            eprintln!("measured counter table:\n{}", counter_table(&measured));
+            panic!(
+                "{} counter(s) differ from crates/bench/fixtures/kernel_smoke_counters.txt",
+                mismatches.len()
+            );
+        }
+    }
 
     for &scale in &cfg.scales {
         let system = report.speedup_at(scale).expect("both backends measured");

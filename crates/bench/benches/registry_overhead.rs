@@ -10,7 +10,6 @@
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use mlb_bench::history::{append_record, history_path, BenchMeta, HistoryPoint, HistoryRecord};
 use mlb_core::{BalancerConfig, MechanismKind, PolicyKind};
 use mlb_ntier::config::SystemConfig;
 use mlb_ntier::experiment::run_experiment;
@@ -74,17 +73,6 @@ fn overhead_gate(_c: &mut Criterion) {
         off as f64 / 1e6,
         on as f64 / 1e6
     );
-    // The smoke preset pins its own seed; record it with the trajectory.
-    let mut record = HistoryRecord::new(&BenchMeta::capture(), "registry_overhead", vec![]);
-    record.points.push(HistoryPoint::new(
-        "smoke_2s",
-        vec![
-            ("overhead_pct", overhead_pct),
-            ("off_ms", off as f64 / 1e6),
-            ("on_ms", on as f64 / 1e6),
-        ],
-    ));
-    append_record(&history_path(), &record);
     assert!(
         overhead_pct < 25.0,
         "registry hot-path overhead regressed to {overhead_pct:.1}% (ceiling 25%)"

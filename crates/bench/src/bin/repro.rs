@@ -27,7 +27,7 @@ use std::process::ExitCode;
 
 use mlb_bench::{
     all_ablations, all_artifacts, all_extensions, build, build_ablation, build_extension,
-    build_robustness, build_tournament, build_trace, history, required_runs, RunCache, RunKey,
+    build_robustness, build_tournament, build_trace, required_runs, RunCache, RunKey,
     TournamentConfig,
 };
 
@@ -65,14 +65,11 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: repro [--secs N] [--out DIR] [--trace] [--prof] \
-                     [fig1..fig13|table1|ablation-*|ext-*|all|ablations|extensions|trace|tournament|trend ...]\n\
+                     [fig1..fig13|table1|ablation-*|ext-*|all|ablations|extensions|trace|tournament ...]\n\
                      --prof: print the kernel profile of each shared fig/table run and \
                      write it to DIR/prof_<run>.jsonl\n\
                      tournament: policy × scenario scorecard, writes BENCH_policies.json \
-                     (MLB_TOURNAMENT=smoke for the CI-sized roster sweep)\n\
-                     trend: perf-trajectory dashboard + regression gate over BENCH_history.jsonl \
-                     (MLB_HISTORY overrides the ledger path; exits non-zero on a >10% \
-                     events/sec regression at any point)"
+                     (MLB_TOURNAMENT=smoke for the CI-sized roster sweep)"
                 );
                 std::process::exit(0);
             }
@@ -96,11 +93,10 @@ fn parse_args() -> Result<Args, String> {
             && a != "robustness"
             && a != "trace"
             && a != "tournament"
-            && a != "trend"
         {
             return Err(format!(
                 "unknown artifact: {a} (expected fig1..fig13, table1, ablation-*, ext-*, \
-                 trace, tournament, trend, all, ablations, or extensions)"
+                 trace, tournament, all, ablations, or extensions)"
             ));
         }
     }
@@ -184,51 +180,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut trend_gate_failed = false;
     for id in &args.artifacts {
-        if id == "trend" {
-            let ledger = history::history_path();
-            eprintln!("reading perf-trajectory ledger {}", ledger.display());
-            let records = history::load_history(&ledger);
-            println!("{}", "=".repeat(100));
-            println!("TREND — perf trajectory over {}", ledger.display());
-            println!("{}", "=".repeat(100));
-            println!("{}", history::render_trend(&records));
-            let csv_path = args.out.join("BENCH_trend.csv");
-            if let Some(parent) = csv_path.parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            match std::fs::write(&csv_path, history::trend_csv(&records)) {
-                Ok(()) => println!("[csv] {}", csv_path.display()),
-                Err(e) => {
-                    eprintln!("error writing {}: {e}", csv_path.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-            let breaches = history::trend_gate(&records, history::GATE_REGRESSION_PCT);
-            if breaches.is_empty() {
-                println!(
-                    "trend gate: OK (no events/sec drop > {:.0}% vs the previous record)\n",
-                    history::GATE_REGRESSION_PCT
-                );
-            } else {
-                trend_gate_failed = true;
-                for b in &breaches {
-                    println!(
-                        "trend gate: FAIL {}/{} {}: {:.1} -> {:.1} ({:.1}% drop > {:.0}% budget)",
-                        b.bench,
-                        b.key,
-                        b.metric,
-                        b.previous,
-                        b.latest,
-                        b.drop_pct,
-                        history::GATE_REGRESSION_PCT
-                    );
-                }
-                println!();
-            }
-            continue;
-        }
         let fig = if all_ablations().contains(&id.as_str()) {
             eprintln!("running ablation sweep {id} ({}s per point)...", args.secs);
             build_ablation(id, args.secs)
@@ -276,10 +228,6 @@ fn main() -> ExitCode {
             }
         }
         println!();
-    }
-    if trend_gate_failed {
-        eprintln!("error: trend gate failed (see breaches above)");
-        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

@@ -67,7 +67,7 @@ where
 pub use ablations::{all_ablations, build_ablation};
 pub use extensions::{all_extensions, build_extension};
 pub use figures::{all_artifacts, build, required_runs, Figure};
-pub use history::{BenchMeta, HistoryPoint, HistoryRecord};
+pub use history::BenchMeta;
 pub use robustness::build_robustness;
 pub use runs::{RunCache, RunKey};
 pub use scaling::{run_scale_sweep, HoldDist, ScaleSweepConfig, ScaleSweepReport};

@@ -1,39 +1,44 @@
-//! Population scale-sweep: kernel throughput as the testbed grows.
+//! Population scale-sweep: the event queue as the whole system grows.
 //!
 //! The paper's testbed is fixed at 70 000 clients; the simulator is not.
-//! This sweep runs the `paper_4x4` scenario at 1×/4×/16×/64× the paper's
-//! client population — scaling the Apache and Tomcat counts with it so the
-//! per-server load stays at the paper's operating point — and measures
-//! the *kernel*: events per wall-clock second, wall-clock seconds per
-//! simulated second, and the peak event-queue length.
+//! This sweep runs `paper_4x4` under `current_load` + `skip_to_busy` with
+//! every tier multiplied ([`SystemConfig::scaled`]: Apaches, Tomcats,
+//! MySQL cores and clients) at 1×/4×/16×/64×, so each point stays at the
+//! paper's per-server operating point and no retransmit storm inflates
+//! the event count. Its 16× point is perfbench's `scaled_16x` system.
 //!
 //! Every point is run under both event-queue backends
 //! ([`QueueKind::Wheel`], the default, and [`QueueKind::Heap`], the
 //! `BinaryHeap` reference), so the report carries the wheel-over-heap
 //! speedup per scale. The two backends produce bit-identical simulations
-//! (a property test and an end-to-end digest test prove it), which makes
-//! the comparison a pure kernel benchmark: same events, same order, same
+//! (a property test and an end-to-end digest test prove it, and every
+//! run here checks that their model counters agree), which makes the
+//! comparison a pure kernel benchmark: same events, same order, same
 //! results — different data structure.
 //!
-//! The sweep is the first entry of the repo's BENCH trajectory: its JSON
-//! report (`BENCH_kernel.json`) is a machine-readable record that CI
-//! archives per commit.
+//! Wall-clock numbers here are ratios measured side by side; absolute
+//! throughput across commits is perfbench's job. What the sweep gates
+//! across commits is [`RunCounters`]: deterministic per-seed work
+//! counters that the smoke sweep compares exactly against the committed
+//! [`SMOKE_COUNTERS`] table ([`counter_mismatches`]).
 
 use mlb_core::{BalancerConfig, MechanismKind, PolicyKind};
 use mlb_ntier::config::SystemConfig;
-use mlb_ntier::slab::ArenaStats;
 use mlb_ntier::system::NTierSystem;
-use mlb_simkernel::queue::{EventQueue, QueueKind, WheelStats};
+use mlb_simkernel::queue::{EventQueue, QueueKind};
 use mlb_simkernel::sim::Simulation;
 use mlb_simkernel::time::{SimDuration, SimTime};
-use mlb_workload::clients::ClientPopulation;
 
-use crate::history::{BenchMeta, HistoryPoint, HistoryRecord};
+use crate::history::BenchMeta;
+
+/// The committed per-seed counters of [`ScaleSweepConfig::smoke`], in
+/// the format [`counter_table`] writes.
+pub const SMOKE_COUNTERS: &str = include_str!("../fixtures/kernel_smoke_counters.txt");
 
 /// What to sweep and how long to run each point.
 #[derive(Debug, Clone)]
 pub struct ScaleSweepConfig {
-    /// Population multipliers relative to the paper's 70 000 clients.
+    /// Multipliers applied to every tier of the paper's testbed.
     pub scales: Vec<usize>,
     /// Simulated seconds per run.
     pub secs: u64,
@@ -45,7 +50,7 @@ pub struct ScaleSweepConfig {
 }
 
 impl ScaleSweepConfig {
-    /// The full sweep the BENCH trajectory records: 1×/4×/16×/64×, each
+    /// The full sweep `BENCH_kernel.json` records: 1×/4×/16×/64×, each
     /// point fanned over the golden seed triple {7, 8, 42}.
     pub fn full() -> Self {
         ScaleSweepConfig {
@@ -56,74 +61,168 @@ impl ScaleSweepConfig {
         }
     }
 
-    /// A CI-sized smoke sweep: 1×/4×, one seed, one simulated second.
+    /// The CI-sized sweep whose counters [`SMOKE_COUNTERS`] pins: 1×/4×,
+    /// the golden seed triple, one simulated second.
     pub fn smoke() -> Self {
         ScaleSweepConfig {
             scales: vec![1, 4],
             secs: 1,
-            seeds: vec![7],
+            seeds: vec![7, 8, 42],
             slices: 4,
         }
     }
 }
 
-/// One measured point: a (scale, backend) pair aggregated over seeds.
+/// Deterministic work counters of one run: pure functions of the config
+/// and seed, so any change to one is a behaviour change. The wheel-only
+/// counters (`cascades` through `node_peak_live`) are 0 on the heap; the
+/// rest are identical on both backends.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunCounters {
+    /// Kernel events processed.
+    pub events: u64,
+    /// Requests issued by clients.
+    pub issued: u64,
+    /// Requests completed.
+    pub completed: u64,
+    /// Requests failed terminally.
+    pub failed: u64,
+    /// Requests in flight at the horizon.
+    pub inflight: u64,
+    /// Accept-queue drops over every Apache.
+    pub drops: u64,
+    /// Wheel cascades run.
+    pub cascades: u64,
+    /// Entries moved by cascades.
+    pub cascade_entries: u64,
+    /// Fresh wheel bucket chunks grown.
+    pub chunk_allocs: u64,
+    /// Wheel bucket chunks recycled off the free list.
+    pub chunk_reuses: u64,
+    /// Peak bucket-resident wheel events.
+    pub node_peak_live: u64,
+    /// Fresh request-arena slots grown.
+    pub arena_allocs: u64,
+    /// Request-arena slots recycled off the free list.
+    pub arena_reuses: u64,
+    /// Peak live request-arena entries.
+    pub arena_peak_live: u64,
+    /// Deepest event queue sampled at the slice boundaries.
+    pub peak_queue: u64,
+}
+
+impl RunCounters {
+    /// Counter names in [`RunCounters::row`] order: the columns of the
+    /// counter table after `scale` and `seed`.
+    pub const NAMES: [&'static str; 15] = [
+        "events",
+        "issued",
+        "completed",
+        "failed",
+        "inflight",
+        "drops",
+        "cascades",
+        "cascade_entries",
+        "chunk_allocs",
+        "chunk_reuses",
+        "node_peak_live",
+        "arena_allocs",
+        "arena_reuses",
+        "arena_peak_live",
+        "peak_queue",
+    ];
+
+    /// The counters in [`RunCounters::NAMES`] order.
+    pub fn row(&self) -> [u64; 15] {
+        [
+            self.events,
+            self.issued,
+            self.completed,
+            self.failed,
+            self.inflight,
+            self.drops,
+            self.cascades,
+            self.cascade_entries,
+            self.chunk_allocs,
+            self.chunk_reuses,
+            self.node_peak_live,
+            self.arena_allocs,
+            self.arena_reuses,
+            self.arena_peak_live,
+            self.peak_queue,
+        ]
+    }
+
+    fn of(sim: &Simulation<NTierSystem>, peak_queue: usize) -> Self {
+        let model = sim.model();
+        let wheel = sim.wheel_stats().unwrap_or_default();
+        let arena = model.arena_stats();
+        RunCounters {
+            events: sim.events_processed(),
+            issued: model.requests_issued(),
+            completed: model.telemetry().response.total(),
+            failed: model.telemetry().failed_requests,
+            inflight: model.inflight() as u64,
+            drops: model.apaches().iter().map(|a| a.accept_queue.drops()).sum(),
+            cascades: wheel.cascades,
+            cascade_entries: wheel.cascade_entries,
+            chunk_allocs: wheel.chunk_allocs,
+            chunk_reuses: wheel.chunk_reuses,
+            node_peak_live: wheel.node_peak_live,
+            arena_allocs: arena.allocs,
+            arena_reuses: arena.reuses,
+            arena_peak_live: arena.peak_live,
+            peak_queue: peak_queue as u64,
+        }
+    }
+}
+
+/// One seed's wheel and heap runs at one scale.
+#[derive(Debug, Clone)]
+pub struct SeedRun {
+    /// The seed.
+    pub seed: u64,
+    /// The wheel run's counters. The heap run reported the same model
+    /// counters and request-arena growth (checked on every run), so only
+    /// the wall clock differs between backends.
+    pub counters: RunCounters,
+    /// Wall-clock seconds of the wheel run, then the heap run.
+    pub wall_secs: [f64; 2],
+    /// `WheelStats::chunk_allocs_ceiling` at run end: the most chunks a
+    /// recycling free list can have grown.
+    pub chunk_allocs_ceiling: u64,
+    /// Fresh request-arena slots grown after the midpoint slice.
+    pub second_half_arena_allocs: u64,
+    /// Fresh wheel chunks grown after the midpoint slice. Think-timer
+    /// liveness peaks when the client population first goes to sleep, so
+    /// this is ~0 at *every* scale — the wheel's allocation-free steady
+    /// state, gated as such.
+    pub second_half_chunk_allocs: u64,
+}
+
+/// One measured scale: every seed's runs.
 #[derive(Debug, Clone)]
 pub struct ScalePoint {
-    /// Population multiplier.
+    /// Tier multiplier.
     pub scale: usize,
     /// Clients simulated at this scale.
     pub clients: usize,
-    /// Event-queue backend measured.
-    pub queue: QueueKind,
-    /// Seeds this point aggregates over (recorded per point so a report
-    /// re-read later is self-describing even if the sweep config drifts).
-    pub seeds: Vec<u64>,
-    /// Kernel events processed, summed over seeds.
-    pub events_processed: u64,
-    /// Events per wall-clock second (total events / total wall).
-    pub events_per_sec: f64,
-    /// Wall-clock seconds spent per simulated second (mean over seeds).
-    pub wall_secs_per_sim_sec: f64,
-    /// Deepest sampled event queue across all seeds.
-    pub peak_queue_len: usize,
-    /// Requests completed, summed over seeds (sanity: the two backends
-    /// must agree on this at the same scale).
-    pub requests_completed: u64,
-    /// Wheel cascades run, summed over seeds (0 on the heap backend).
-    pub cascades: u64,
-    /// Entries moved by cascades, summed over seeds (0 on the heap).
-    pub cascade_entries: u64,
-    /// Fresh wheel bucket chunks grown, summed over seeds (0 on the
-    /// heap).
-    pub chunk_allocs: u64,
-    /// Wheel bucket chunks recycled off the free list, summed (0 on the
-    /// heap).
-    pub chunk_reuses: u64,
-    /// Sum over seeds of each run's
-    /// [`WheelStats::chunk_allocs_ceiling`]: the most chunks a recycling
-    /// free list can have grown (0 on the heap).
-    pub chunk_allocs_ceiling: u64,
-    /// Peak bucket-resident wheel events, max over seeds (0 on the heap).
-    pub node_peak_live: u64,
-    /// Fresh request-arena slot growths, summed over seeds.
-    pub arena_allocs: u64,
-    /// Request-arena slots recycled off the free list, summed over seeds.
-    pub arena_reuses: u64,
-    /// Peak live request-arena entries, max over seeds.
-    pub arena_peak_live: u64,
-    /// Fresh request-arena slot growths after each run's midpoint,
-    /// summed over seeds. At overloaded scales this legitimately ramps
-    /// with in-flight liveness, but it is backend-independent: the gate
-    /// asserts wheel and heap agree exactly, and that the 1× point (the
-    /// only scale that reaches steady state inside the window) stays
-    /// under 1% of inserts.
-    pub second_half_arena_allocs: u64,
-    /// Fresh wheel chunks grown after each run's midpoint, summed over
-    /// seeds (0 on the heap). Think-timer liveness peaks when the client
-    /// population first goes to sleep, so this is ~0 at *every* scale —
-    /// the wheel's allocation-free steady state, gated as such.
-    pub second_half_chunk_allocs: u64,
+    /// One entry per seed, in sweep seed order.
+    pub runs: Vec<SeedRun>,
+}
+
+impl ScalePoint {
+    /// `f` summed over the seeds' runs.
+    pub fn sum(&self, f: impl Fn(&SeedRun) -> u64) -> u64 {
+        self.runs.iter().map(f).sum()
+    }
+
+    /// Events per wall-clock second over all seeds on one backend.
+    pub fn events_per_sec(&self, kind: QueueKind) -> f64 {
+        let lane = usize::from(kind == QueueKind::Heap);
+        let wall: f64 = self.runs.iter().map(|r| r.wall_secs[lane]).sum();
+        self.sum(|r| r.counters.events) as f64 / wall.max(1e-9)
+    }
 }
 
 /// How the *hold* churn draws re-insertion offsets.
@@ -146,7 +245,7 @@ impl HoldDist {
     /// Every distribution, in report order.
     pub const ALL: [HoldDist; 2] = [HoldDist::Uniform, HoldDist::Bimodal];
 
-    /// Series name used in reports and ledger keys.
+    /// Series name used in reports.
     pub fn name(self) -> &'static str {
         match self {
             HoldDist::Uniform => "uniform",
@@ -175,7 +274,7 @@ pub struct HoldPoint {
 pub struct ScaleSweepReport {
     /// Sweep parameters.
     pub config: ScaleSweepConfig,
-    /// All full-system points, ordered by (scale, backend).
+    /// All full-system points, ordered by scale.
     pub points: Vec<ScalePoint>,
     /// Kernel-only *hold* points, ordered by (scale, backend).
     pub hold: Vec<HoldPoint>,
@@ -189,42 +288,20 @@ fn kind_name(kind: QueueKind) -> &'static str {
 }
 
 fn point_config(scale: usize, kind: QueueKind, seed: u64, secs: u64) -> SystemConfig {
-    let mut cfg = SystemConfig::paper_4x4(BalancerConfig::with(
-        PolicyKind::TotalRequest,
-        MechanismKind::Original,
-    ));
-    cfg.apaches *= scale;
-    cfg.tomcats *= scale;
-    cfg.population = ClientPopulation::new(
-        cfg.population.clients() * scale,
-        cfg.population.think_time_mean(),
-        cfg.apaches,
-    );
-    cfg.duration = SimDuration::from_secs(secs);
-    cfg.seed = seed;
-    cfg.queue = kind;
-    cfg
-}
-
-struct RunStats {
-    events: u64,
-    wall_secs: f64,
-    peak_queue: usize,
-    completed: u64,
-    /// Wheel counters at run end (`None` on the heap backend).
-    wheel: Option<WheelStats>,
-    /// Request-arena counters at run end.
-    arena: ArenaStats,
-    /// Fresh request-arena slots after the midpoint slice.
-    second_half_arena_allocs: u64,
-    /// Fresh wheel chunks after the midpoint slice (0 on the heap) — the
-    /// per-run allocation-free steady-state gauge.
-    second_half_chunk_allocs: u64,
+    SystemConfig {
+        duration: SimDuration::from_secs(secs),
+        seed,
+        queue: kind,
+        ..SystemConfig::paper_4x4(BalancerConfig::with(
+            PolicyKind::CurrentLoad,
+            MechanismKind::SkipToBusy,
+        ))
+        .scaled(scale)
+    }
 }
 
 /// One simulation being stepped slice-by-slice next to its rival.
 struct Lane {
-    kind: QueueKind,
     sim: Simulation<NTierSystem>,
     wall_secs: f64,
     peak_queue: usize,
@@ -243,19 +320,21 @@ struct Lane {
 /// neighbouring scales read 2×+ the other way. Adjacent slices pin both
 /// backends to near-identical host conditions, so the wheel/heap ratio
 /// stays trustworthy even when absolute throughput is noisy.
-fn run_pair(scale: usize, seed: u64, secs: u64, slices: u64) -> Vec<(QueueKind, RunStats)> {
-    let mut lanes: Vec<Lane> = [QueueKind::Wheel, QueueKind::Heap]
-        .into_iter()
-        .map(|kind| Lane {
-            kind,
-            sim: NTierSystem::build_simulation(point_config(scale, kind, seed, secs))
-                .expect("scaled preset is valid"),
-            wall_secs: 0.0,
-            peak_queue: 0,
-            mid_arena_allocs: 0,
-            mid_chunk_allocs: 0,
-        })
-        .collect();
+///
+/// # Panics
+///
+/// Panics if the run loses a request (issued ≠ completed + failed + in
+/// flight) or the heap run's model counters or request-arena growth
+/// differ from the wheel run's.
+fn run_pair(scale: usize, seed: u64, secs: u64, slices: u64) -> SeedRun {
+    let mut lanes = [QueueKind::Wheel, QueueKind::Heap].map(|kind| Lane {
+        sim: NTierSystem::build_simulation(point_config(scale, kind, seed, secs))
+            .expect("scaled preset is valid"),
+        wall_secs: 0.0,
+        peak_queue: 0,
+        mid_arena_allocs: 0,
+        mid_chunk_allocs: 0,
+    });
     let total_us = secs * 1_000_000;
     let mid_slice = slices.div_ceil(2);
     for i in 1..=slices {
@@ -271,25 +350,41 @@ fn run_pair(scale: usize, seed: u64, secs: u64, slices: u64) -> Vec<(QueueKind, 
             }
         }
     }
-    lanes
-        .into_iter()
-        .map(|lane| {
-            let wheel = lane.sim.wheel_stats();
-            let arena = lane.sim.model().arena_stats();
-            let stats = RunStats {
-                events: lane.sim.events_processed(),
-                wall_secs: lane.wall_secs,
-                peak_queue: lane.peak_queue,
-                completed: lane.sim.model().telemetry().response.total(),
-                second_half_arena_allocs: arena.allocs - lane.mid_arena_allocs,
-                second_half_chunk_allocs: wheel.map_or(0, |w| w.chunk_allocs)
-                    - lane.mid_chunk_allocs,
-                wheel,
-                arena,
-            };
-            (lane.kind, stats)
-        })
-        .collect()
+    let [wheel, heap] = lanes;
+    let counters = RunCounters::of(&wheel.sim, wheel.peak_queue);
+    assert_eq!(
+        counters.issued,
+        counters.completed + counters.failed + counters.inflight,
+        "{scale}x seed {seed}: requests not conserved ({counters:?})"
+    );
+    // The heap reports the wheel's model counters, wheel-only ones zero.
+    let model_part = RunCounters {
+        cascades: 0,
+        cascade_entries: 0,
+        chunk_allocs: 0,
+        chunk_reuses: 0,
+        node_peak_live: 0,
+        ..counters
+    };
+    assert_eq!(
+        (
+            RunCounters::of(&heap.sim, heap.peak_queue),
+            heap.mid_arena_allocs
+        ),
+        (model_part, wheel.mid_arena_allocs),
+        "{scale}x seed {seed}: wheel and heap runs diverged"
+    );
+    SeedRun {
+        seed,
+        counters,
+        wall_secs: [wheel.wall_secs, heap.wall_secs],
+        chunk_allocs_ceiling: wheel
+            .sim
+            .wheel_stats()
+            .map_or(0, |w| w.chunk_allocs_ceiling()),
+        second_half_arena_allocs: counters.arena_allocs - wheel.mid_arena_allocs,
+        second_half_chunk_allocs: counters.chunk_allocs - wheel.mid_chunk_allocs,
+    }
 }
 
 /// The classic *hold* kernel microbenchmark: keep `pending` events in
@@ -347,82 +442,48 @@ pub fn hold_ops_per_sec(
 /// simulations interleaved slice-by-slice (see [`run_pair`]). Nothing is
 /// fanned across threads on purpose: the wall clocks being measured ARE
 /// the product, and parallel runs on a contended host inflate every
-/// lane's wall by the co-runner count, wrecking `wall_secs_per_sim_sec`
+/// lane's wall by the co-runner count, wrecking the wall-clock numbers
 /// without finishing the sweep any sooner on a small machine. Scales run
 /// sequentially so the biggest population's memory footprint is never
 /// multiplied by the number of scales.
+///
+/// # Panics
+///
+/// Panics if any run breaks request conservation or the two backends
+/// disagree on a model counter (see [`run_pair`]).
 pub fn run_scale_sweep(cfg: &ScaleSweepConfig) -> ScaleSweepReport {
     let mut points = Vec::new();
     for &scale in &cfg.scales {
-        let mut per_kind: Vec<(QueueKind, Vec<RunStats>)> = vec![
-            (QueueKind::Wheel, Vec::new()),
-            (QueueKind::Heap, Vec::new()),
-        ];
-        for &seed in &cfg.seeds {
-            for (kind, stats) in run_pair(scale, seed, cfg.secs, cfg.slices) {
-                per_kind
-                    .iter_mut()
-                    .find(|(k, _)| *k == kind)
-                    .expect("lane kind is in the report set")
-                    .1
-                    .push(stats);
-            }
-        }
-        for (kind, stats) in per_kind {
-            let events: u64 = stats.iter().map(|s| s.events).sum();
-            let wall: f64 = stats.iter().map(|s| s.wall_secs).sum();
-            let completed: u64 = stats.iter().map(|s| s.completed).sum();
-            let peak_queue = stats.iter().map(|s| s.peak_queue).max().unwrap_or(0);
-            let sim_secs = (cfg.secs * cfg.seeds.len() as u64) as f64;
-            let wheel_sum = |f: fn(&WheelStats) -> u64| -> u64 {
-                stats.iter().filter_map(|s| s.wheel.as_ref()).map(f).sum()
-            };
-            let point = ScalePoint {
-                scale,
-                clients: 70_000 * scale,
-                queue: kind,
-                seeds: cfg.seeds.clone(),
-                events_processed: events,
-                events_per_sec: events as f64 / wall.max(1e-9),
-                wall_secs_per_sim_sec: wall / sim_secs.max(1e-9),
-                peak_queue_len: peak_queue,
-                requests_completed: completed,
-                cascades: wheel_sum(|w| w.cascades),
-                cascade_entries: wheel_sum(|w| w.cascade_entries),
-                chunk_allocs: wheel_sum(|w| w.chunk_allocs),
-                chunk_reuses: wheel_sum(|w| w.chunk_reuses),
-                chunk_allocs_ceiling: wheel_sum(WheelStats::chunk_allocs_ceiling),
-                node_peak_live: stats
-                    .iter()
-                    .filter_map(|s| s.wheel.as_ref())
-                    .map(|w| w.node_peak_live)
-                    .max()
-                    .unwrap_or(0),
-                arena_allocs: stats.iter().map(|s| s.arena.allocs).sum(),
-                arena_reuses: stats.iter().map(|s| s.arena.reuses).sum(),
-                arena_peak_live: stats.iter().map(|s| s.arena.peak_live).max().unwrap_or(0),
-                second_half_arena_allocs: stats.iter().map(|s| s.second_half_arena_allocs).sum(),
-                second_half_chunk_allocs: stats.iter().map(|s| s.second_half_chunk_allocs).sum(),
-            };
-            eprintln!(
-                "  [scale {:>3}x {:<5}] {:>10.0} events/s, {:>6.3} wall-s/sim-s, peak queue {:>8}, 2nd-half allocs arena {} / chunks {}",
-                scale,
-                kind_name(kind),
-                point.events_per_sec,
-                point.wall_secs_per_sim_sec,
-                point.peak_queue_len,
-                point.second_half_arena_allocs,
-                point.second_half_chunk_allocs,
-            );
-            points.push(point);
-        }
+        let point = ScalePoint {
+            scale,
+            clients: point_config(scale, QueueKind::Wheel, 0, cfg.secs)
+                .population
+                .clients(),
+            runs: cfg
+                .seeds
+                .iter()
+                .map(|&seed| run_pair(scale, seed, cfg.secs, cfg.slices))
+                .collect(),
+        };
+        eprintln!(
+            "  [scale {:>3}x] {:>10.0} / {:>10.0} events/s wheel / heap, {:>8} completed, \
+             2nd-half allocs arena {} / chunks {}",
+            scale,
+            point.events_per_sec(QueueKind::Wheel),
+            point.events_per_sec(QueueKind::Heap),
+            point.sum(|r| r.counters.completed),
+            point.sum(|r| r.second_half_arena_allocs),
+            point.sum(|r| r.second_half_chunk_allocs),
+        );
+        points.push(point);
     }
-    // Kernel-only hold churn at each scale's steady-state pending size.
-    // Cheap relative to the full-system runs, so a fixed op count is fine.
+    // Kernel-only hold churn at each scale's steady-state pending size
+    // (about one pending think timer per client). Cheap relative to the
+    // full-system runs, so a fixed op count is fine.
     const HOLD_OPS: u64 = 2_000_000;
     let mut hold = Vec::new();
-    for &scale in &cfg.scales {
-        let pending = 70_000 * scale;
+    for p in &points {
+        let (scale, pending) = (p.scale, p.clients);
         for dist in HoldDist::ALL {
             for kind in [QueueKind::Wheel, QueueKind::Heap] {
                 let ops_per_sec = hold_ops_per_sec(kind, dist, pending, HOLD_OPS, 0x9E37_79B9);
@@ -452,19 +513,15 @@ pub fn run_scale_sweep(cfg: &ScaleSweepConfig) -> ScaleSweepReport {
 }
 
 impl ScaleSweepReport {
-    /// The point for a given (scale, backend), if measured.
-    pub fn point(&self, scale: usize, kind: QueueKind) -> Option<&ScalePoint> {
-        self.points
-            .iter()
-            .find(|p| p.scale == scale && p.queue == kind)
+    /// The point for a given scale, if measured.
+    pub fn point(&self, scale: usize) -> Option<&ScalePoint> {
+        self.points.iter().find(|p| p.scale == scale)
     }
 
-    /// Wheel-over-heap events/sec speedup at a scale, if both backends
-    /// were measured there.
+    /// Wheel-over-heap events/sec speedup at a scale, if measured.
     pub fn speedup_at(&self, scale: usize) -> Option<f64> {
-        let wheel = self.point(scale, QueueKind::Wheel)?;
-        let heap = self.point(scale, QueueKind::Heap)?;
-        Some(wheel.events_per_sec / heap.events_per_sec.max(1e-9))
+        let p = self.point(scale)?;
+        Some(p.events_per_sec(QueueKind::Wheel) / p.events_per_sec(QueueKind::Heap).max(1e-9))
     }
 
     /// Wheel-over-heap queue-ops/sec speedup of the kernel-only *hold*
@@ -480,56 +537,56 @@ impl ScaleSweepReport {
         Some(wheel.ops_per_sec / heap.ops_per_sec.max(1e-9))
     }
 
+    /// Every (scale, seed) row of the counter table.
+    pub fn counter_rows(&self) -> Vec<(usize, u64, RunCounters)> {
+        self.points
+            .iter()
+            .flat_map(|p| p.runs.iter().map(|r| (p.scale, r.seed, r.counters)))
+            .collect()
+    }
+
     /// Serializes the report as pretty-printed JSON (handwritten — the
     /// workspace carries no serde). `meta` supplies the shared
     /// schema/commit/host header every BENCH artifact carries.
     pub fn to_json(&self, meta: &BenchMeta) -> String {
         let mut out = String::from("{\n");
         out.push_str(&meta.json_header());
-        out.push_str("  \"bench\": \"kernel_scaling\",\n  \"base\": \"paper_4x4\",\n");
+        out.push_str(
+            "  \"bench\": \"kernel_scaling\",\n  \"base\": \"paper_4x4 current_load+skip_to_busy, every tier scaled\",\n",
+        );
         out.push_str(&format!("  \"sim_secs_per_run\": {},\n", self.config.secs));
-        out.push_str(&format!(
-            "  \"seeds\": [{}],\n",
-            self.config
-                .seeds
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
+        out.push_str(&format!("  \"seeds\": {:?},\n", self.config.seeds));
         out.push_str("  \"points\": [\n");
         for (i, p) in self.points.iter().enumerate() {
+            let runs: Vec<String> = p
+                .runs
+                .iter()
+                .map(|r| {
+                    let counters: Vec<String> = RunCounters::NAMES
+                        .iter()
+                        .zip(r.counters.row())
+                        .map(|(name, v)| format!("\"{name}\": {v}"))
+                        .collect();
+                    format!(
+                        "{{\"seed\": {}, \"wheel_wall_secs\": {:.4}, \"heap_wall_secs\": {:.4}, \
+                         {}, \"second_half_arena_allocs\": {}, \"second_half_chunk_allocs\": {}}}",
+                        r.seed,
+                        r.wall_secs[0],
+                        r.wall_secs[1],
+                        counters.join(", "),
+                        r.second_half_arena_allocs,
+                        r.second_half_chunk_allocs
+                    )
+                })
+                .collect();
             out.push_str(&format!(
-                "    {{\"scale\": {}, \"clients\": {}, \"backend\": \"{}\", \
-                 \"seeds\": [{}], \"events_processed\": {}, \"events_per_sec\": {:.1}, \
-                 \"wall_secs_per_sim_sec\": {:.6}, \"peak_queue_len\": {}, \
-                 \"requests_completed\": {}, \"cascades\": {}, \"cascade_entries\": {}, \
-                 \"chunk_allocs\": {}, \"chunk_reuses\": {}, \"node_peak_live\": {}, \
-                 \"arena_allocs\": {}, \"arena_reuses\": {}, \"arena_peak_live\": {}, \
-                 \"second_half_arena_allocs\": {}, \"second_half_chunk_allocs\": {}}}{}\n",
+                "    {{\"scale\": {}, \"clients\": {}, \"wheel_events_per_sec\": {:.1}, \
+                 \"heap_events_per_sec\": {:.1}, \"runs\": [\n      {}\n    ]}}{}\n",
                 p.scale,
                 p.clients,
-                kind_name(p.queue),
-                p.seeds
-                    .iter()
-                    .map(u64::to_string)
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                p.events_processed,
-                p.events_per_sec,
-                p.wall_secs_per_sim_sec,
-                p.peak_queue_len,
-                p.requests_completed,
-                p.cascades,
-                p.cascade_entries,
-                p.chunk_allocs,
-                p.chunk_reuses,
-                p.node_peak_live,
-                p.arena_allocs,
-                p.arena_reuses,
-                p.arena_peak_live,
-                p.second_half_arena_allocs,
-                p.second_half_chunk_allocs,
+                p.events_per_sec(QueueKind::Wheel),
+                p.events_per_sec(QueueKind::Heap),
+                runs.join(",\n      "),
                 if i + 1 == self.points.len() { "" } else { "," },
             ));
         }
@@ -546,103 +603,155 @@ impl ScaleSweepReport {
                 if i + 1 == self.hold.len() { "" } else { "," },
             ));
         }
-        out.push_str("  ],\n  \"speedup_wheel_over_heap\": {");
-        let mut first = true;
-        for &scale in &self.config.scales {
-            if let Some(s) = self.speedup_at(scale) {
-                if !first {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{scale}\": {s:.2}"));
-                first = false;
-            }
-        }
-        for dist in HoldDist::ALL {
-            let key = match dist {
-                HoldDist::Uniform => "hold_speedup_wheel_over_heap",
-                HoldDist::Bimodal => "hold_bimodal_speedup_wheel_over_heap",
-            };
-            out.push_str(&format!("}},\n  \"{key}\": {{"));
-            first = true;
-            for &scale in &self.config.scales {
-                if let Some(s) = self.hold_speedup_at(scale, dist) {
-                    if !first {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&format!("\"{scale}\": {s:.2}"));
-                    first = false;
-                }
-            }
-        }
-        out.push_str("}\n}\n");
+        let by_scale = |speedup: &dyn Fn(usize) -> Option<f64>| {
+            let entries: Vec<String> = self
+                .config
+                .scales
+                .iter()
+                .filter_map(|&scale| speedup(scale).map(|s| format!("\"{scale}\": {s:.2}")))
+                .collect();
+            entries.join(", ")
+        };
+        out.push_str(&format!(
+            "  ],\n  \"speedup_wheel_over_heap\": {{{}}},\n  \
+             \"hold_speedup_wheel_over_heap\": {{{}}},\n  \
+             \"hold_bimodal_speedup_wheel_over_heap\": {{{}}}\n}}\n",
+            by_scale(&|scale| self.speedup_at(scale)),
+            by_scale(&|scale| self.hold_speedup_at(scale, HoldDist::Uniform)),
+            by_scale(&|scale| self.hold_speedup_at(scale, HoldDist::Bimodal)),
+        ));
         out
     }
+}
 
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the file cannot be written.
-    pub fn write_json(&self, path: &std::path::Path, meta: &BenchMeta) {
-        std::fs::write(path, self.to_json(meta)).expect("write BENCH_kernel.json");
-        eprintln!("  wrote {}", path.display());
+/// Renders counter rows as the whitespace-separated table
+/// [`SMOKE_COUNTERS`] holds: `#` comment lines, a header naming the
+/// columns, then one right-aligned row per (scale, seed).
+pub fn counter_table(rows: &[(usize, u64, RunCounters)]) -> String {
+    let cells: Vec<Vec<String>> = std::iter::once(
+        ["scale", "seed"]
+            .into_iter()
+            .chain(RunCounters::NAMES)
+            .map(str::to_owned)
+            .collect(),
+    )
+    .chain(rows.iter().map(|(scale, seed, c)| {
+        [*scale as u64, *seed]
+            .into_iter()
+            .chain(c.row())
+            .map(|v| v.to_string())
+            .collect()
+    }))
+    .collect();
+    let widths: Vec<usize> = (0..cells[0].len())
+        .map(|col| cells.iter().map(|r| r[col].len()).max().unwrap_or(0))
+        .collect();
+    let mut out = String::from(
+        "# Per-seed deterministic counters of the smoke kernel sweep\n\
+         # (`MLB_SCALE_SWEEP=smoke cargo bench -p mlb-bench --bench kernel_scaling`),\n\
+         # wheel backend. Compared exactly; any change is a behaviour change.\n",
+    );
+    for row in &cells {
+        let line: Vec<String> = row
+            .iter()
+            .zip(&widths)
+            .map(|(cell, &w)| format!("{cell:>w$}"))
+            .collect();
+        out.push_str(&line.join(" "));
+        out.push('\n');
     }
+    out
+}
 
-    /// The sweep's perf-trajectory ledger record: one point per
-    /// `(scale, backend)` full-system measurement (key `"{scale}x/{backend}"`)
-    /// plus one per kernel-only hold churn (key `"hold/{scale}x/{backend}"`).
-    /// The `events_per_sec` metrics here are what the `repro -- trend`
-    /// gate watches. `bench` names the ledger series — the smoke and
-    /// full sweeps record under different names ("kernel_scaling_smoke"
-    /// vs "kernel_scaling") so a CI-sized 1-sim-s run is never the
-    /// trend-gate baseline for a full 2-sim-s run or vice versa.
-    pub fn history_record(&self, meta: &BenchMeta, bench: &str) -> HistoryRecord {
-        let mut record = HistoryRecord::new(meta, bench, self.config.seeds.clone());
-        for p in &self.points {
-            let mut metrics = vec![
-                ("events_per_sec", p.events_per_sec),
-                ("wall_secs_per_sim_sec", p.wall_secs_per_sim_sec),
-                ("peak_queue_len", p.peak_queue_len as f64),
-                ("requests_completed", p.requests_completed as f64),
-                ("arena_allocs", p.arena_allocs as f64),
-                ("arena_reuses", p.arena_reuses as f64),
-                ("arena_peak_live", p.arena_peak_live as f64),
-                (
-                    "second_half_arena_allocs",
-                    p.second_half_arena_allocs as f64,
-                ),
-            ];
-            if p.queue == QueueKind::Wheel {
-                metrics.extend([
-                    ("cascades", p.cascades as f64),
-                    ("cascade_entries", p.cascade_entries as f64),
-                    ("chunk_allocs", p.chunk_allocs as f64),
-                    ("chunk_reuses", p.chunk_reuses as f64),
-                    ("node_peak_live", p.node_peak_live as f64),
-                    (
-                        "second_half_chunk_allocs",
-                        p.second_half_chunk_allocs as f64,
-                    ),
-                ]);
-            }
-            record.points.push(HistoryPoint::new(
-                format!("{}x/{}", p.scale, kind_name(p.queue)),
-                metrics,
+/// One cell where a measured counter differs from the committed table.
+/// A (scale, seed) row present on one side only mismatches in every
+/// counter, with `None` on the side that lacks it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CounterMismatch {
+    /// Tier multiplier of the row.
+    pub scale: usize,
+    /// Seed of the row.
+    pub seed: u64,
+    /// Counter name ([`RunCounters::NAMES`]).
+    pub counter: &'static str,
+    /// Committed value.
+    pub expected: Option<u64>,
+    /// Measured value.
+    pub measured: Option<u64>,
+}
+
+/// Compares measured counter rows against a committed table in
+/// [`counter_table`]'s format, cell by cell.
+///
+/// # Errors
+///
+/// Returns a message if the table's header is not today's column set or
+/// a row does not parse.
+pub fn counter_mismatches(
+    table: &str,
+    measured: &[(usize, u64, RunCounters)],
+) -> Result<Vec<CounterMismatch>, String> {
+    let mut lines = table
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'));
+    let header: Vec<&str> = lines.next().unwrap_or("").split_whitespace().collect();
+    let columns: Vec<&str> = ["scale", "seed"]
+        .into_iter()
+        .chain(RunCounters::NAMES)
+        .collect();
+    if header != columns {
+        return Err(format!(
+            "counter table header is {header:?}, expected {columns:?}"
+        ));
+    }
+    let mut expected = Vec::new();
+    for line in lines {
+        let values = line
+            .split_whitespace()
+            .map(str::parse::<u64>)
+            .collect::<Result<Vec<u64>, _>>()
+            .map_err(|e| format!("counter table row {line:?}: {e}"))?;
+        if values.len() != columns.len() {
+            return Err(format!(
+                "counter table row {line:?} has {} columns, expected {}",
+                values.len(),
+                columns.len()
             ));
         }
-        for h in &self.hold {
-            let key = match h.dist {
-                HoldDist::Uniform => format!("hold/{}x/{}", h.scale, kind_name(h.queue)),
-                HoldDist::Bimodal => {
-                    format!("hold_bimodal/{}x/{}", h.scale, kind_name(h.queue))
-                }
-            };
-            record
-                .points
-                .push(HistoryPoint::new(key, vec![("ops_per_sec", h.ops_per_sec)]));
-        }
-        record
+        expected.push((values[0] as usize, values[1], values[2..].to_vec()));
     }
+    let mut keys: Vec<(usize, u64)> = measured
+        .iter()
+        .map(|&(scale, seed, _)| (scale, seed))
+        .chain(expected.iter().map(|(scale, seed, _)| (*scale, *seed)))
+        .collect();
+    keys.sort_unstable();
+    keys.dedup();
+    let mut mismatches = Vec::new();
+    for (scale, seed) in keys {
+        let want = expected
+            .iter()
+            .find(|(s, sd, _)| (*s, *sd) == (scale, seed))
+            .map(|(_, _, v)| v);
+        let got = measured
+            .iter()
+            .find(|(s, sd, _)| (*s, *sd) == (scale, seed))
+            .map(|(_, _, c)| c.row());
+        for (i, counter) in RunCounters::NAMES.into_iter().enumerate() {
+            let (expected, measured) = (want.map(|v| v[i]), got.map(|v| v[i]));
+            if expected != measured {
+                mismatches.push(CounterMismatch {
+                    scale,
+                    seed,
+                    counter,
+                    expected,
+                    measured,
+                });
+            }
+        }
+    }
+    Ok(mismatches)
 }
 
 #[cfg(test)]
@@ -652,24 +761,31 @@ mod tests {
     #[test]
     fn both_backends_complete_the_same_requests() {
         // The scale-sweep's comparison is only meaningful because the two
-        // backends run bit-identical simulations; check the invariant at a
-        // tiny scale so the full bench can trust events/sec differences
-        // are pure kernel cost.
-        let pair = run_pair(1, 7, 1, 2);
-        let (wk, wheel) = &pair[0];
-        let (hk, heap) = &pair[1];
-        assert_eq!(*wk, QueueKind::Wheel);
-        assert_eq!(*hk, QueueKind::Heap);
-        assert_eq!(wheel.events, heap.events);
-        assert_eq!(wheel.completed, heap.completed);
-        assert_eq!(wheel.peak_queue, heap.peak_queue);
-        // Request-arena growth is model-driven, so the second-half gauge
-        // must agree across backends too (the every-scale bench gate).
-        assert_eq!(
-            wheel.second_half_arena_allocs,
-            heap.second_half_arena_allocs
-        );
-        assert_eq!(heap.second_half_chunk_allocs, 0);
+        // backends run bit-identical simulations; `run_pair` asserts that
+        // (and request conservation) on every run, so the full bench can
+        // trust events/sec differences are pure kernel cost.
+        let run = run_pair(1, 7, 1, 2);
+        assert!(run.counters.completed > 0);
+        assert!(run.counters.cascades > 0, "the first lane ran the wheel");
+        assert_eq!(run.second_half_chunk_allocs, 0);
+    }
+
+    fn run(seed: u64, events: u64) -> SeedRun {
+        SeedRun {
+            seed,
+            counters: RunCounters {
+                events,
+                issued: events + 1,
+                completed: events,
+                chunk_reuses: 3 * events,
+                peak_queue: 74,
+                ..RunCounters::default()
+            },
+            wall_secs: [2.0, 4.0],
+            chunk_allocs_ceiling: 1_161,
+            second_half_arena_allocs: 1,
+            second_half_chunk_allocs: 0,
+        }
     }
 
     fn tiny_report() -> ScaleSweepReport {
@@ -683,41 +799,15 @@ mod tests {
             points: vec![ScalePoint {
                 scale: 1,
                 clients: 70_000,
-                queue: QueueKind::Wheel,
-                seeds: vec![7, 8, 42],
-                events_processed: 10,
-                events_per_sec: 5.0,
-                wall_secs_per_sim_sec: 2.0,
-                peak_queue_len: 3,
-                requests_completed: 4,
-                cascades: 2,
-                cascade_entries: 6,
-                chunk_allocs: 8,
-                chunk_reuses: 9,
-                chunk_allocs_ceiling: 1_161,
-                node_peak_live: 3,
-                arena_allocs: 5,
-                arena_reuses: 11,
-                arena_peak_live: 4,
-                second_half_arena_allocs: 1,
-                second_half_chunk_allocs: 0,
+                runs: vec![run(7, 10), run(8, 20), run(42, 30)],
             }],
-            hold: vec![
-                HoldPoint {
-                    scale: 1,
-                    pending: 70_000,
-                    queue: QueueKind::Wheel,
-                    dist: HoldDist::Uniform,
-                    ops_per_sec: 100.0,
-                },
-                HoldPoint {
-                    scale: 1,
-                    pending: 70_000,
-                    queue: QueueKind::Wheel,
-                    dist: HoldDist::Bimodal,
-                    ops_per_sec: 60.0,
-                },
-            ],
+            hold: vec![HoldPoint {
+                scale: 1,
+                pending: 70_000,
+                queue: QueueKind::Wheel,
+                dist: HoldDist::Bimodal,
+                ops_per_sec: 60.0,
+            }],
         }
     }
 
@@ -728,42 +818,54 @@ mod tests {
         assert!(json.contains("\"schema_version\": 1,"));
         assert!(json.contains("\"commit\": \"cafe\","));
         assert!(json.contains("\"bench\": \"kernel_scaling\""));
-        assert!(json.contains("\"backend\": \"wheel\""));
+        assert!(json.contains("\"heap_events_per_sec\": 5.0,"));
         assert!(json.contains("\"seeds\": [7, 8, 42]"));
+        assert!(json.contains(
+            "{\"seed\": 8, \"wheel_wall_secs\": 2.0000, \"heap_wall_secs\": 4.0000, \
+             \"events\": 20, \"issued\": 21,"
+        ));
+        assert!(json.contains("\"peak_queue\": 74, \"second_half_arena_allocs\": 1,"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]
     fn full_sweep_fans_over_the_golden_seed_triple() {
         assert_eq!(ScaleSweepConfig::full().seeds, vec![7, 8, 42]);
+        assert_eq!(ScaleSweepConfig::smoke().seeds, vec![7, 8, 42]);
     }
 
     #[test]
-    fn history_record_carries_every_point() {
-        let record =
-            tiny_report().history_record(&BenchMeta::fixed("cafe", "testhost"), "kernel_scaling");
-        assert_eq!(record.bench, "kernel_scaling");
-        assert_eq!(record.seeds, vec![7, 8, 42]);
-        let p = record.point("1x/wheel").expect("system point present");
-        assert_eq!(p.metric("events_per_sec"), Some(5.0));
-        assert_eq!(p.metric("peak_queue_len"), Some(3.0));
-        assert_eq!(p.metric("cascade_entries"), Some(6.0));
-        assert_eq!(p.metric("chunk_allocs"), Some(8.0));
-        assert_eq!(p.metric("arena_reuses"), Some(11.0));
-        assert_eq!(p.metric("second_half_arena_allocs"), Some(1.0));
-        assert_eq!(p.metric("second_half_chunk_allocs"), Some(0.0));
-        let h = record.point("hold/1x/wheel").expect("hold point present");
-        assert_eq!(h.metric("ops_per_sec"), Some(100.0));
-        let hb = record
-            .point("hold_bimodal/1x/wheel")
-            .expect("bimodal hold point present");
-        assert_eq!(hb.metric("ops_per_sec"), Some(60.0));
-        // And the record survives its own serialization.
-        let line = record.to_json_line();
+    fn counter_gate_names_exactly_the_changed_cell() {
+        let rows = tiny_report().counter_rows();
+        assert_eq!(rows.len(), 3);
+        let table = counter_table(&rows);
+        assert_eq!(counter_mismatches(&table, &rows), Ok(vec![]));
+
+        // One counter of one seed off by one in the committed table.
+        let mut bumped = rows.clone();
+        bumped[1].2.chunk_reuses += 1;
+        let mismatches = counter_mismatches(&counter_table(&bumped), &rows).unwrap();
         assert_eq!(
-            crate::history::HistoryRecord::from_json_line(&line).unwrap(),
-            record
+            mismatches,
+            vec![CounterMismatch {
+                scale: 1,
+                seed: 8,
+                counter: "chunk_reuses",
+                expected: Some(rows[1].2.chunk_reuses + 1),
+                measured: Some(rows[1].2.chunk_reuses),
+            }]
         );
+
+        // A row on one side only mismatches in every counter.
+        let missing = counter_mismatches(&counter_table(&rows[..2]), &rows).unwrap();
+        assert_eq!(missing.len(), RunCounters::NAMES.len());
+        assert!(missing
+            .iter()
+            .all(|m| (m.scale, m.seed, m.expected) == (1, 42, None)));
+
+        // A table with a different column set is rejected outright.
+        let renamed = table.replace("peak_queue", "peak_pending");
+        assert!(counter_mismatches(&renamed, &rows).is_err());
     }
 
     #[test]
@@ -773,16 +875,6 @@ mod tests {
                 let ops = hold_ops_per_sec(kind, dist, 1_000, 10_000, 42);
                 assert!(ops > 0.0);
             }
-        }
-    }
-
-    #[test]
-    fn scaled_configs_stay_valid() {
-        for scale in [1usize, 4, 16, 64] {
-            let cfg = point_config(scale, QueueKind::Wheel, 7, 1);
-            assert_eq!(cfg.population.clients(), 70_000 * scale);
-            assert_eq!(cfg.population.front_ends(), cfg.apaches);
-            cfg.validate().expect("scaled preset must validate");
         }
     }
 }

@@ -35,7 +35,7 @@ use mlb_ntier::metrics::MetricsConfig;
 use mlb_osmodel::machine::{GcConfig, MachineConfig};
 use mlb_simkernel::time::SimDuration;
 
-use crate::history::{append_record, history_path, BenchMeta, HistoryPoint, HistoryRecord};
+use crate::history::{write_artifact, BenchMeta};
 use crate::par_runs;
 
 /// Tournament extent: how long each cell runs and over which seeds.
@@ -255,7 +255,19 @@ pub fn run_cell(entrant: &Entrant, scenario: Scenario, cfg: &TournamentConfig) -
                 sys.metrics = MetricsConfig::enabled_default();
                 sys.detector_feedback = true;
             }
-            run_experiment(sys).expect("tournament preset is valid")
+            let r = run_experiment(sys).expect("tournament preset is valid");
+            // Conservation: every issued request completed, failed
+            // terminally, or is still in flight at the horizon.
+            assert_eq!(
+                r.requests_issued,
+                r.telemetry.response.total()
+                    + r.telemetry.failed_requests
+                    + r.inflight_at_end as u64,
+                "{} / {} seed {seed}: requests not conserved",
+                entrant.name,
+                scenario.name(),
+            );
+            r
         })
         .collect();
     aggregate(entrant.name, scenario, &results, cfg.secs)
@@ -385,35 +397,6 @@ impl TournamentReport {
         out.push_str("  ]\n}\n");
         out
     }
-
-    /// Writes the JSON report to `path`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the file cannot be written.
-    pub fn write_json(&self, path: &std::path::Path, meta: &BenchMeta) {
-        std::fs::write(path, self.to_json(meta)).expect("write BENCH_policies.json");
-        eprintln!("  wrote {}", path.display());
-    }
-
-    /// The tournament's perf-trajectory ledger record: one point per
-    /// scorecard cell (key `"{scenario}/{policy}"`) carrying the
-    /// latency/throughput metrics the dashboard tracks over commits.
-    pub fn history_record(&self, meta: &BenchMeta) -> HistoryRecord {
-        let mut record = HistoryRecord::new(meta, "policy_tournament", self.config.seeds.clone());
-        for r in &self.rows {
-            record.points.push(HistoryPoint::new(
-                format!("{}/{}", r.scenario, r.policy),
-                vec![
-                    ("avg_rt_ms", r.avg_rt_ms),
-                    ("pct_vlrt", r.pct_vlrt),
-                    ("p999_ms", r.p999_ms),
-                    ("throughput_rps", r.throughput_rps),
-                ],
-            ));
-        }
-        record
-    }
 }
 
 /// Builds the `tournament` repro artifact: runs the tournament, writes
@@ -421,14 +404,10 @@ impl TournamentReport {
 /// scorecard as terminal text.
 pub fn build_tournament(cfg: &TournamentConfig) -> crate::Figure {
     let report = run_tournament(cfg);
-    let meta = BenchMeta::capture();
-    // Bin/bench cwd varies; anchor on the compile-time package dir.
-    let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root exists");
-    report.write_json(&root.join("BENCH_policies.json"), &meta);
-    append_record(&history_path(), &report.history_record(&meta));
+    write_artifact(
+        "BENCH_policies.json",
+        &report.to_json(&BenchMeta::capture()),
+    );
     crate::Figure {
         id: "tournament",
         title: format!(
@@ -568,23 +547,6 @@ mod tests {
             oracle.push('\n');
         }
         assert_eq!(report.render(), oracle);
-    }
-
-    #[test]
-    fn history_record_carries_one_point_per_cell() {
-        let record = tiny_report().history_record(&BenchMeta::fixed("cafe", "testhost"));
-        assert_eq!(record.bench, "policy_tournament");
-        assert_eq!(record.points.len(), 2);
-        let p = record
-            .point("flush_storm/current_load")
-            .expect("cell point present");
-        assert_eq!(p.metric("avg_rt_ms"), Some(12.5));
-        assert_eq!(p.metric("throughput_rps"), Some(300.0));
-        let line = record.to_json_line();
-        assert_eq!(
-            crate::history::HistoryRecord::from_json_line(&line).unwrap(),
-            record
-        );
     }
 
     #[test]

@@ -209,6 +209,37 @@ impl SystemConfig {
         }
     }
 
+    /// This system with every tier multiplied by `k`: Apaches, Tomcats,
+    /// MySQL cores (the testbed has one database node) and clients, the
+    /// clients spread over the scaled Apache count. Pools are sized per
+    /// Apache–Tomcat pair and per Tomcat, so the AJP and database
+    /// connection counts scale with the tiers they join, and the
+    /// per-server load stays at this config's operating point.
+    ///
+    /// Per-Tomcat lists (`tomcat_machines`, `balancer.weights`) are not
+    /// tiled, so a config that sets them fails [`SystemConfig::validate`]
+    /// once scaled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is zero.
+    pub fn scaled(mut self, k: usize) -> Self {
+        assert!(k > 0, "scale factor must be positive");
+        self.apaches *= k;
+        self.tomcats *= k;
+        self.mysql_machine.cores *= k;
+        let population = ClientPopulation::new(
+            self.population.clients() * k,
+            self.population.think_time_mean(),
+            self.apaches,
+        );
+        self.population = match self.population.burst() {
+            Some(burst) => population.with_bursts(burst),
+            None => population,
+        };
+        self
+    }
+
     /// The machine configuration of Tomcat `i` (the per-Tomcat override if
     /// present, the shared config otherwise).
     pub fn tomcat_machine_of(&self, i: usize) -> &MachineConfig {
@@ -353,6 +384,25 @@ mod tests {
         let gc = c.tomcat_machine.gc.unwrap();
         assert_eq!(gc.pause, SimDuration::from_millis(250));
         assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn scaled_multiplies_every_tier() {
+        let base = SystemConfig::paper_4x4(bal());
+        assert_eq!(
+            format!("{:?}", base.clone().scaled(1)),
+            format!("{base:?}"),
+            "scaled(1) is the identity"
+        );
+        for k in [4usize, 16, 64] {
+            let c = base.clone().scaled(k);
+            c.validate().expect("a scaled preset must validate");
+            assert_eq!(c.apaches, base.apaches * k);
+            assert_eq!(c.tomcats, base.tomcats * k);
+            assert_eq!(c.mysql_machine.cores, base.mysql_machine.cores * k);
+            assert_eq!(c.population.clients(), base.population.clients() * k);
+            assert_eq!(c.population.front_ends(), c.apaches);
+        }
     }
 
     #[test]

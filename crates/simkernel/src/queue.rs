@@ -98,7 +98,7 @@ pub struct WheelStats {
     /// re-place.
     pub overflow_pushes: u64,
     /// Ready-queue inserts that appended at the back (the hot
-    /// schedule-at-now case).
+    /// schedule-at-now case, and any insert into an empty ready queue).
     pub cursor_appends: u64,
     /// Ready-queue inserts that needed a sorted (binary-search) insert.
     pub cursor_sorted_inserts: u64,
@@ -616,18 +616,19 @@ impl<E> Wheel<E> {
     }
 
     /// Sorted insert into the ready queue. The hot case — scheduling at
-    /// the instant currently being processed — appends at the back.
+    /// the instant currently being processed, or into an empty ready
+    /// queue — appends at the back.
     fn cursor_insert(&mut self, e: WheelEntry<E>) {
         let key = (e.time, e.seq);
         match self.cursor.back() {
-            Some(b) if (b.time, b.seq) <= key => {
-                self.stats.cursor_appends += 1;
-                self.cursor.push_back(e);
-            }
-            _ => {
+            Some(b) if (b.time, b.seq) > key => {
                 self.stats.cursor_sorted_inserts += 1;
                 let at = self.cursor.partition_point(|x| (x.time, x.seq) < key);
                 self.cursor.insert(at, e);
+            }
+            _ => {
+                self.stats.cursor_appends += 1;
+                self.cursor.push_back(e);
             }
         }
     }

@@ -143,50 +143,3 @@ fn heap_backend_profiles_identically_minus_wheel_stats() {
     assert!(wheel.kernel.wheel.is_some(), "wheel backend reports stats");
     assert!(heap.kernel.wheel.is_none(), "heap backend has no wheel");
 }
-
-#[test]
-fn trend_gate_fails_a_synthetic_regression_and_passes_recovery() {
-    // End-to-end over the bench ledger machinery: append two records to
-    // a scratch ledger where one scale point loses 30% events/sec, and
-    // the gate must flag exactly that point; append a recovered third
-    // record and the gate clears (it compares against the immediately
-    // preceding record, not the all-time peak).
-    use mlb_bench::history::{
-        append_record, load_history, trend_gate, BenchMeta, HistoryPoint, HistoryRecord,
-        GATE_REGRESSION_PCT,
-    };
-    let record = |commit: &str, eps_16x: f64| {
-        let mut r = HistoryRecord::new(
-            &BenchMeta::fixed(commit, "testhost"),
-            "kernel_scaling",
-            vec![7, 8, 42],
-        );
-        r.points.push(HistoryPoint::new(
-            "1x/wheel",
-            vec![("events_per_sec", 2_000_000.0)],
-        ));
-        r.points.push(HistoryPoint::new(
-            "16x/wheel",
-            vec![("events_per_sec", eps_16x)],
-        ));
-        r
-    };
-    let dir = std::env::temp_dir().join(format!("mlb_trend_it_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("scratch_history.jsonl");
-    let _ = std::fs::remove_file(&path);
-
-    append_record(&path, &record("base", 1_000_000.0));
-    append_record(&path, &record("slow", 700_000.0));
-    let breaches = trend_gate(&load_history(&path), GATE_REGRESSION_PCT);
-    assert_eq!(breaches.len(), 1, "exactly the regressed point breaches");
-    assert_eq!(breaches[0].key, "16x/wheel");
-    assert!((breaches[0].drop_pct - 30.0).abs() < 1e-9);
-
-    append_record(&path, &record("fixed", 1_050_000.0));
-    assert!(
-        trend_gate(&load_history(&path), GATE_REGRESSION_PCT).is_empty(),
-        "recovery clears the gate"
-    );
-    let _ = std::fs::remove_file(&path);
-}
