@@ -11,10 +11,11 @@ use mlb_core::{BalancerConfig, MechanismKind, PolicyKind};
 use mlb_metrics::csv::CsvTable;
 use mlb_netmodel::retransmit::RtoSchedule;
 use mlb_ntier::config::SystemConfig;
-use mlb_ntier::experiment::{run_experiment, ExperimentResult};
+use mlb_ntier::experiment::ExperimentResult;
 use mlb_simkernel::time::SimDuration;
 
 use crate::figures::Figure;
+use crate::run_sweep;
 
 /// All ablation ids.
 pub fn all_ablations() -> [&'static str; 5] {
@@ -44,19 +45,6 @@ pub fn build_ablation(id: &str, secs: u64) -> Figure {
 }
 
 /// Runs a set of labelled configurations in parallel.
-fn run_all(configs: Vec<(String, SystemConfig)>) -> Vec<(String, ExperimentResult)> {
-    crate::par_runs(configs, |(label, cfg)| {
-        let r = run_experiment(cfg).expect("ablation config is valid");
-        eprintln!(
-            "  [{label:<28}] avg={:.2}ms vlrt={:.2}% drops={}",
-            r.telemetry.response.avg_ms(),
-            r.telemetry.response.pct_vlrt(),
-            r.telemetry.drops
-        );
-        (label, r)
-    })
-}
-
 fn summary_table(rows: &[(String, ExperimentResult)], knob: &str) -> (String, CsvTable) {
     let label_w = rows
         .iter()
@@ -109,23 +97,17 @@ fn ablation_timeout(secs: u64) -> Figure {
     let mut configs = Vec::new();
     configs.push((
         "skip-to-busy (remedy)".to_owned(),
-        with_duration(
-            SystemConfig::paper_4x4(BalancerConfig::with(
-                PolicyKind::TotalRequest,
-                MechanismKind::SkipToBusy,
-            )),
-            secs,
-        ),
+        SystemConfig::paper_4x4(BalancerConfig::with(
+            PolicyKind::TotalRequest,
+            MechanismKind::SkipToBusy,
+        )),
     ));
     for ms in [100u64, 200, 300, 600, 1_200] {
         let mut bal = BalancerConfig::with(PolicyKind::TotalRequest, MechanismKind::Original);
         bal.cache_acquire_timeout = SimDuration::from_millis(ms);
-        configs.push((
-            format!("timeout {ms} ms"),
-            with_duration(SystemConfig::paper_4x4(bal), secs),
-        ));
+        configs.push((format!("timeout {ms} ms"), SystemConfig::paper_4x4(bal)));
     }
-    let rows = run_all(configs);
+    let rows = run_sweep(configs, secs, "ablation", 28);
     let (mut text, csv) = summary_table(&rows, "cache_acquire_timeout");
     text.push_str(
         "\nReading: the get_endpoint polling budget is the mechanism-level\n\
@@ -149,9 +131,9 @@ fn ablation_pool(secs: u64) -> Figure {
             MechanismKind::Original,
         ));
         cfg.pool_size = pool;
-        configs.push((format!("pool {pool}"), with_duration(cfg, secs)));
+        configs.push((format!("pool {pool}"), cfg));
     }
-    let rows = run_all(configs);
+    let rows = run_sweep(configs, secs, "ablation", 28);
     let (mut text, csv) = summary_table(&rows, "AJP pool size");
     text.push_str(
         "\nReading: the connection pool bounds how many requests can be\n\
@@ -191,9 +173,9 @@ fn ablation_rto(secs: u64) -> Figure {
             MechanismKind::Original,
         ));
         cfg.rto = rto;
-        configs.push((label, with_duration(cfg, secs)));
+        configs.push((label, cfg));
     }
-    let rows = run_all(configs);
+    let rows = run_sweep(configs, secs, "ablation", 28);
     let (mut text, csv) = summary_table(&rows, "RTO schedule");
     text.push_str(
         "\nReading: the VLRT cluster positions are a direct image of the\n\
@@ -219,12 +201,9 @@ fn ablation_flush(secs: u64) -> Figure {
         if let Some(pc) = &mut cfg.tomcat_machine.page_cache {
             pc.flush_interval = SimDuration::from_secs(interval_s);
         }
-        configs.push((
-            format!("flush every {interval_s}s"),
-            with_duration(cfg, secs),
-        ));
+        configs.push((format!("flush every {interval_s}s"), cfg));
     }
-    let rows = run_all(configs);
+    let rows = run_sweep(configs, secs, "ablation", 28);
     let (mut text, csv) = summary_table(&rows, "flush interval");
     text.push_str(
         "\nReading: longer write-back intervals mean rarer but *longer*\n\
@@ -255,12 +234,9 @@ fn ablation_decay(secs: u64) -> Figure {
     ] {
         let mut bal = BalancerConfig::with(PolicyKind::TotalRequest, MechanismKind::Original);
         bal.decay_interval = decay;
-        configs.push((
-            label.to_owned(),
-            with_duration(SystemConfig::paper_4x4(bal), secs),
-        ));
+        configs.push((label.to_owned(), SystemConfig::paper_4x4(bal)));
     }
-    let rows = run_all(configs);
+    let rows = run_sweep(configs, secs, "ablation", 28);
     let (mut text, csv) = summary_table(&rows, "lb_value aging");
     text.push_str(
         "\nReading: mod_jk's periodic lb_value halving does not repair the\n\
@@ -274,11 +250,6 @@ fn ablation_decay(secs: u64) -> Figure {
         text,
         csvs: vec![("ablation_decay".into(), csv)],
     }
-}
-
-fn with_duration(mut cfg: SystemConfig, secs: u64) -> SystemConfig {
-    cfg.duration = SimDuration::from_secs(secs);
-    cfg
 }
 
 #[cfg(test)]

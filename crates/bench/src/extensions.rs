@@ -28,10 +28,11 @@ use mlb_core::{BalancerConfig, MechanismKind, PolicyKind};
 use mlb_metrics::csv::CsvTable;
 use mlb_metrics::summary::{render_table, TableRow};
 use mlb_ntier::config::SystemConfig;
-use mlb_ntier::experiment::{run_experiment, ExperimentResult};
+use mlb_ntier::experiment::ExperimentResult;
 use mlb_simkernel::time::SimDuration;
 
 use crate::figures::Figure;
+use crate::run_sweep;
 
 /// All extension-experiment ids.
 pub fn all_extensions() -> [&'static str; 6] {
@@ -62,19 +63,6 @@ pub fn build_extension(id: &str, secs: u64) -> Figure {
     }
 }
 
-fn run_all(configs: Vec<(String, SystemConfig)>) -> Vec<(String, ExperimentResult)> {
-    crate::par_runs(configs, |(label, cfg)| {
-        let r = run_experiment(cfg).expect("extension config is valid");
-        eprintln!(
-            "  [{label:<34}] avg={:.2}ms vlrt={:.2}% drops={}",
-            r.telemetry.response.avg_ms(),
-            r.telemetry.response.pct_vlrt(),
-            r.telemetry.drops
-        );
-        (label, r)
-    })
-}
-
 fn table_and_csv(rows: &[(String, ExperimentResult)]) -> (String, CsvTable) {
     let table_rows: Vec<TableRow> = rows
         .iter()
@@ -102,25 +90,17 @@ fn table_and_csv(rows: &[(String, ExperimentResult)]) -> (String, CsvTable) {
     (text, csv)
 }
 
-fn with_duration(mut cfg: SystemConfig, secs: u64) -> SystemConfig {
-    cfg.duration = SimDuration::from_secs(secs);
-    cfg
-}
-
 fn ext_policies(secs: u64) -> Figure {
     let configs: Vec<(String, SystemConfig)> = PolicyKind::all_extended()
         .into_iter()
         .map(|policy| {
             (
                 policy.name().to_owned(),
-                with_duration(
-                    SystemConfig::paper_4x4(BalancerConfig::with(policy, MechanismKind::Original)),
-                    secs,
-                ),
+                SystemConfig::paper_4x4(BalancerConfig::with(policy, MechanismKind::Original)),
             )
         })
         .collect();
-    let rows = run_all(configs);
+    let rows = run_sweep(configs, secs, "extension", 34);
     let (mut text, csv) = table_and_csv(&rows);
 
     let avg = |name: &str| {
@@ -169,9 +149,9 @@ fn ext_probe(secs: u64) -> Figure {
         (PolicyKind::CurrentLoad, MechanismKind::ProbeFirst),
     ] {
         let cfg = SystemConfig::paper_4x4(BalancerConfig::with(policy, mech));
-        configs.push((cfg.balancer.label(), with_duration(cfg, secs)));
+        configs.push((cfg.balancer.label(), cfg));
     }
-    let rows = run_all(configs);
+    let rows = run_sweep(configs, secs, "extension", 34);
     let (mut text, csv) = table_and_csv(&rows);
     text.push_str(
         "\nReading: the CPing/CPong probe detects a frozen candidate even\n\
@@ -200,9 +180,9 @@ fn ext_gc(secs: u64) -> Figure {
         (PolicyKind::CurrentLoad, MechanismKind::Original),
     ] {
         let cfg = SystemConfig::paper_4x4_gc(BalancerConfig::with(policy, mech));
-        configs.push((cfg.balancer.label(), with_duration(cfg, secs)));
+        configs.push((cfg.balancer.label(), cfg));
     }
-    let rows = run_all(configs);
+    let rows = run_sweep(configs, secs, "extension", 34);
     let (mut text, csv) = table_and_csv(&rows);
     let mb: u64 = rows
         .first()
@@ -238,13 +218,10 @@ fn ext_burst(secs: u64) -> Figure {
     let mut configs = Vec::new();
     configs.push((
         "no bursts, total_request".to_owned(),
-        with_duration(
-            SystemConfig::paper_4x4_no_millibottleneck(BalancerConfig::with(
-                PolicyKind::TotalRequest,
-                MechanismKind::Original,
-            )),
-            secs,
-        ),
+        SystemConfig::paper_4x4_no_millibottleneck(BalancerConfig::with(
+            PolicyKind::TotalRequest,
+            MechanismKind::Original,
+        )),
     ));
     for intensity in [4.0f64, 10.0] {
         for policy in [PolicyKind::TotalRequest, PolicyKind::CurrentLoad] {
@@ -253,13 +230,10 @@ fn ext_burst(secs: u64) -> Figure {
                 MechanismKind::Original,
             ));
             cfg.population = cfg.population.with_bursts(burst(intensity));
-            configs.push((
-                format!("{intensity}x burst, {}", policy.name()),
-                with_duration(cfg, secs),
-            ));
+            configs.push((format!("{intensity}x burst, {}", policy.name()), cfg));
         }
     }
-    let rows = run_all(configs);
+    let rows = run_sweep(configs, secs, "extension", 34);
     let (mut text, csv) = table_and_csv(&rows);
     text.push_str(
         "
@@ -314,9 +288,9 @@ fn ext_hetero(secs: u64) -> Figure {
         bal.weights = weights;
         let mut cfg = SystemConfig::paper_4x4(bal);
         cfg.tomcat_machines = Some(hetero_machines());
-        configs.push((label.to_owned(), with_duration(cfg, secs)));
+        configs.push((label.to_owned(), cfg));
     }
-    let rows = run_all(configs);
+    let rows = run_sweep(configs, secs, "extension", 34);
     let (mut text, csv) = table_and_csv(&rows);
     text.push_str(
         "\nReading: with one permanently half-capacity Tomcat, the unweighted\n\
@@ -346,9 +320,9 @@ fn ext_sticky(secs: u64) -> Figure {
         let mut bal = BalancerConfig::with(policy, MechanismKind::Original);
         bal.sticky_sessions = sticky;
         let cfg = SystemConfig::paper_4x4(bal);
-        configs.push((cfg.balancer.label(), with_duration(cfg, secs)));
+        configs.push((cfg.balancer.label(), cfg));
     }
-    let rows = run_all(configs);
+    let rows = run_sweep(configs, secs, "extension", 34);
     let (mut text, csv) = table_and_csv(&rows);
     text.push_str(
         "\nReading: sticky sessions bypass the policy for every request after\n\

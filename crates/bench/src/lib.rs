@@ -31,6 +31,10 @@ pub mod scaling;
 pub mod tournament;
 pub mod trace;
 
+use mlb_ntier::config::SystemConfig;
+use mlb_ntier::experiment::{run_experiment, ExperimentResult};
+use mlb_simkernel::time::SimDuration;
+
 /// Runs `f` over `items`, one scoped thread per item, and returns the
 /// results **in input order** (join order is spawn order, regardless of
 /// which thread finishes first).
@@ -61,6 +65,33 @@ where
             .into_iter()
             .map(|h| h.join().expect("parallel run panicked"))
             .collect()
+    })
+}
+
+/// Runs each labelled config for `secs` simulated seconds through
+/// [`par_runs`], logging one summary line per run to stderr with the
+/// label padded to `pad` columns. `what` names the sweep ("ablation",
+/// "extension") in the panic for a config that fails validation.
+///
+/// # Panics
+///
+/// Panics if a config is invalid, or propagates a panic from any run.
+pub(crate) fn run_sweep(
+    configs: Vec<(String, SystemConfig)>,
+    secs: u64,
+    what: &str,
+    pad: usize,
+) -> Vec<(String, ExperimentResult)> {
+    par_runs(configs, |(label, mut cfg)| {
+        cfg.duration = SimDuration::from_secs(secs);
+        let r = run_experiment(cfg).unwrap_or_else(|e| panic!("{what} config is valid: {e:?}"));
+        eprintln!(
+            "  [{label:<pad$}] avg={:.2}ms vlrt={:.2}% drops={}",
+            r.telemetry.response.avg_ms(),
+            r.telemetry.response.pct_vlrt(),
+            r.telemetry.drops
+        );
+        (label, r)
     })
 }
 

@@ -14,9 +14,9 @@
 //!
 //! * **iowait-saturated** — the window's iowait delta is positive (a
 //!   freeze overlapped it);
-//! * **queue-spike** — the sampled queue depth crossed the configured
-//!   threshold (the queuing amplification the paper traces from a
-//!   millibottleneck to upstream tiers);
+//! * **queue-spike** — the sampled queue depth reached
+//!   [`QUEUE_SPIKE_THRESHOLD`] (the queuing amplification the paper
+//!   traces from a millibottleneck to upstream tiers);
 //! * **frozen-backend** — iowait positive *and* no busy time *and* work
 //!   queued: the server sat fully stalled with requests waiting.
 //!
@@ -31,29 +31,18 @@ use mlb_simkernel::time::SimDuration;
 
 use crate::spans::{StallKind, StallWindow};
 
-/// Tunables for the online detector.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DetectorConfig {
-    /// Queue depth at or above which a window is flagged `QueueSpike`.
-    pub queue_spike_threshold: u64,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        // Roughly 1.5–2× the per-tier service capacity in the paper
-        // configs; deep enough that steady-state queues stay quiet.
-        DetectorConfig {
-            queue_spike_threshold: 100,
-        }
-    }
-}
+/// Queue depth at or above which a window is flagged
+/// [`FlagKind::QueueSpike`]: roughly 1.5–2× the per-tier service
+/// capacity in the paper configs, deep enough that steady-state queues
+/// stay quiet.
+pub const QUEUE_SPIKE_THRESHOLD: u64 = 100;
 
 /// Which in-stream signal fired for a `(server, window)` pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlagKind {
     /// Positive iowait delta: a freeze overlapped the window.
     IowaitSaturated,
-    /// Sampled queue depth crossed the configured threshold.
+    /// Sampled queue depth reached [`QUEUE_SPIKE_THRESHOLD`].
     QueueSpike,
     /// Frozen with zero busy time and work queued — a fully stalled
     /// backend, the paper's worst case.
@@ -111,7 +100,6 @@ impl ServerState {
 #[derive(Debug)]
 pub struct MillibottleneckDetector {
     window: SimDuration,
-    cfg: DetectorConfig,
     labels: Vec<String>,
     state: Vec<ServerState>,
     stalls: Vec<StallWindow>,
@@ -126,33 +114,17 @@ impl MillibottleneckDetector {
     /// # Panics
     ///
     /// Panics if `window` is zero.
-    pub fn new(window: SimDuration, labels: Vec<String>, cfg: DetectorConfig) -> Self {
+    pub fn new(window: SimDuration, labels: Vec<String>) -> Self {
         assert!(window.as_micros() > 0, "detector window must be positive");
         let state = labels.iter().map(|_| ServerState::new()).collect();
         MillibottleneckDetector {
             window,
-            cfg,
             labels,
             state,
             stalls: Vec::new(),
             flags: Vec::new(),
             last_window: None,
         }
-    }
-
-    /// The observation window width.
-    pub fn window(&self) -> SimDuration {
-        self.window
-    }
-
-    /// Server label for a slot.
-    pub fn label(&self, server: usize) -> &str {
-        &self.labels[server]
-    }
-
-    /// Number of observed servers.
-    pub fn server_count(&self) -> usize {
-        self.labels.len()
     }
 
     /// Highest window ordinal observed so far.
@@ -186,7 +158,7 @@ impl MillibottleneckDetector {
             .is_some_and(|prev| dirty_bytes < prev);
         self.state[server].prev_dirty = Some(dirty_bytes);
 
-        if queue_depth >= self.cfg.queue_spike_threshold {
+        if queue_depth >= QUEUE_SPIKE_THRESHOLD {
             self.flags.push(DetectorFlag {
                 server,
                 window,
@@ -285,30 +257,6 @@ impl MillibottleneckDetector {
     pub fn flags_since(&self, from: usize) -> &[DetectorFlag] {
         &self.flags[from.min(self.flags.len())..]
     }
-
-    /// Renders a short human-readable stall report.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "online detector: {} stall(s), {} flag(s), {} server(s)",
-            self.stalls.len(),
-            self.flags.len(),
-            self.labels.len()
-        );
-        for s in &self.stalls {
-            let _ = writeln!(
-                out,
-                "  [{:>9.3}s – {:>9.3}s] {:<8} {}",
-                s.start.as_secs_f64(),
-                s.end.as_secs_f64(),
-                s.server,
-                s.kind.label()
-            );
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -319,7 +267,6 @@ mod tests {
         MillibottleneckDetector::new(
             SimDuration::from_millis(50),
             vec!["tomcat1".to_owned(), "mysql".to_owned()],
-            DetectorConfig::default(),
         )
     }
 

@@ -13,8 +13,7 @@
 //!   root-cause attribution against millibottleneck windows.
 //! * [`registry`] — the streaming telemetry bus: named counters, gauges
 //!   and log-scale histograms aggregated into fixed sub-50 ms windows
-//!   with integer-µs accumulation, drained through pluggable sinks
-//!   (JSONL, CSV, in-memory).
+//!   with integer-µs accumulation, drained incrementally as JSONL.
 //! * [`detector`] — online millibottleneck detection over the registry's
 //!   window stream (iowait-saturated / queue-spike / frozen-backend
 //!   flags, merged into window-aligned `StallWindow`s).
@@ -45,13 +44,10 @@ pub mod summary;
 
 pub use ascii::{Align, Table};
 pub use csv::CsvTable;
-pub use detector::{DetectorConfig, DetectorFlag, FlagKind, MillibottleneckDetector};
+pub use detector::{DetectorFlag, FlagKind, MillibottleneckDetector};
 pub use heatmap::AttributionHeatmap;
 pub use histogram::ResponseTimeHistogram;
-pub use registry::{
-    fnv1a, log2_percentile, CsvSink, JsonlSink, MemorySink, MetricId, MetricKind, MetricSink,
-    Registry, WindowRecord,
-};
+pub use registry::{fnv1a, JsonlSink, MetricId, MetricKind, Registry, WindowRecord};
 pub use series::{WindowAggregate, WindowedCounter, WindowedSeries};
 pub use spans::{
     AttributionSummary, RequestTrace, Segment, SpanEvent, SpanKind, StallKind, StallWindow,

@@ -4,9 +4,8 @@
 //! log-scale histograms) are registered **by name** up front, every
 //! recording is aggregated into fixed sub-50 ms windows using pure
 //! integer-µs arithmetic (no float summation order hazards), and closed
-//! windows are drained incrementally through pluggable [`MetricSink`]s —
-//! a JSONL event stream for offline analysis, CSV for plotting, or an
-//! in-memory vector for tests.
+//! windows are drained incrementally into a [`JsonlSink`] — one JSON
+//! object per line for offline analysis.
 //!
 //! Determinism is structural, not aspirational:
 //!
@@ -26,8 +25,6 @@
 use std::collections::VecDeque;
 
 use mlb_simkernel::time::{SimDuration, SimTime};
-
-use crate::csv::CsvTable;
 
 /// The three instrument types the registry understands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,13 +81,6 @@ pub struct WindowRecord {
     /// Bucket `b` holds values whose bit width is `b` (0 holds the value
     /// zero). Empty for counters and gauges.
     pub buckets: Vec<(u8, u64)>,
-}
-
-/// Receives closed windows as they are drained from the registry.
-pub trait MetricSink {
-    /// Called once per closed, non-empty (metric, window) pair, in
-    /// deterministic order (window, then registration order).
-    fn on_window(&mut self, name: &str, kind: MetricKind, record: &WindowRecord);
 }
 
 #[derive(Debug)]
@@ -184,11 +174,6 @@ impl Registry {
             pending: VecDeque::new(),
             finished: false,
         }
-    }
-
-    /// The configured window width.
-    pub fn window(&self) -> SimDuration {
-        self.window
     }
 
     /// Number of registered instruments.
@@ -311,54 +296,15 @@ impl Registry {
         self.finished = true;
     }
 
-    /// Drains every pending closed window into `sink`, oldest first.
+    /// Drains every pending closed window into `sink`, oldest first, in
+    /// deterministic order (window, then registration order).
     /// Incremental: safe to call mid-run as often as desired.
-    pub fn drain_into(&mut self, sink: &mut dyn MetricSink) {
+    pub fn drain_into(&mut self, sink: &mut JsonlSink) {
         while let Some(rec) = self.pending.pop_front() {
             let def = &self.defs[rec.metric];
             sink.on_window(&def.name, def.kind, &rec);
         }
     }
-
-    /// Number of closed windows waiting to be drained.
-    pub fn pending_records(&self) -> usize {
-        self.pending.len()
-    }
-}
-
-/// Percentile estimate over a [`WindowRecord`]'s log₂ buckets.
-///
-/// `buckets` are ascending `(bit_width, count)` pairs as exported in
-/// [`WindowRecord::buckets`]; `permille` is the rank in thousandths
-/// (999 = p99.9), saturating at 1000. Returns the *upper bound* of the
-/// bucket containing the rank — width `w` covers values of bit width
-/// `w`, so the bound is `2^w − 1` (width 0 holds only the value zero;
-/// width 64 saturates to `u64::MAX`). `None` for an empty histogram.
-///
-/// Integer-only on purpose: the rank is `⌈total · permille / 1000⌉`
-/// computed in `u128`, so the estimate is exact and this file stays
-/// free of float accumulation.
-pub fn log2_percentile(buckets: &[(u8, u64)], permille: u32) -> Option<u64> {
-    let total: u64 = buckets.iter().map(|&(_, n)| n).sum();
-    if total == 0 {
-        return None;
-    }
-    let permille = u128::from(permille.min(1000));
-    let rank = (u128::from(total) * permille).div_ceil(1000).max(1);
-    let mut cumulative: u128 = 0;
-    let mut last_width = 0;
-    for &(width, count) in buckets {
-        cumulative += u128::from(count);
-        last_width = width;
-        if cumulative >= rank {
-            break;
-        }
-    }
-    Some(match last_width {
-        0 => 0,
-        w if w >= 64 => u64::MAX,
-        w => (1u64 << w) - 1,
-    })
 }
 
 /// FNV-1a over a byte slice — same constants as `TraceLog::digest`, so
@@ -403,9 +349,8 @@ impl JsonlSink {
     pub fn digest(&self) -> u64 {
         fnv1a(self.out.as_bytes())
     }
-}
 
-impl MetricSink for JsonlSink {
+    /// Appends one closed (metric, window) record as a JSON line.
     fn on_window(&mut self, name: &str, kind: MetricKind, r: &WindowRecord) {
         use std::fmt::Write as _;
         let _ = write!(
@@ -436,103 +381,18 @@ impl MetricSink for JsonlSink {
     }
 }
 
-/// Sink that renders records as CSV rows (histogram buckets elided).
-///
-/// Writes its own integer-formatted rows rather than going through
-/// [`CsvTable`] (whose cells are `f64`) so 64-bit sums stay exact.
-#[derive(Debug)]
-pub struct CsvSink {
-    out: String,
-}
-
-impl Default for CsvSink {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CsvSink {
-    /// A sink holding only the header row.
-    pub fn new() -> Self {
-        CsvSink {
-            out: "window,start_us,metric,kind,count,sum,min,max,last\n".to_owned(),
-        }
-    }
-
-    /// The CSV text so far (header + one row per record).
-    pub fn as_str(&self) -> &str {
-        &self.out
-    }
-
-    /// Consumes the sink, returning the CSV text.
-    pub fn into_string(self) -> String {
-        self.out
-    }
-}
-
-impl MetricSink for CsvSink {
-    fn on_window(&mut self, name: &str, kind: MetricKind, r: &WindowRecord) {
-        use std::fmt::Write as _;
-        let _ = writeln!(
-            self.out,
-            "{},{},{},{},{},{},{},{},{}",
-            r.window,
-            r.start_us,
-            name,
-            kind.label(),
-            r.count,
-            r.sum,
-            r.min,
-            r.max,
-            r.last
-        );
-    }
-}
-
-/// Sink that keeps every record in memory — for tests and for
-/// programmatic post-run inspection.
-#[derive(Debug, Default)]
-pub struct MemorySink {
-    /// `(name, kind, record)` in drain order.
-    pub records: Vec<(String, MetricKind, WindowRecord)>,
-}
-
-impl MemorySink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl MetricSink for MemorySink {
-    fn on_window(&mut self, name: &str, kind: MetricKind, r: &WindowRecord) {
-        self.records.push((name.to_owned(), kind, r.clone()));
-    }
-}
-
-/// Renders drained records into a [`CsvTable`] keyed by window start —
-/// convenience for wiring registry output into the figure harness.
-pub fn records_to_table(records: &[(String, MetricKind, WindowRecord)]) -> CsvTable {
-    let mut table = CsvTable::with_columns(&["window", "start_us", "count", "sum", "min", "max"]);
-    for (_, _, r) in records {
-        table.push_row(vec![
-            r.window as f64,
-            r.start_us as f64,
-            r.count as f64,
-            r.sum as f64,
-            r.min as f64,
-            r.max as f64,
-        ]);
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
+    }
+
+    fn drain(reg: &mut Registry) -> Vec<String> {
+        let mut sink = JsonlSink::new();
+        reg.drain_into(&mut sink);
+        sink.into_string().lines().map(str::to_owned).collect()
     }
 
     #[test]
@@ -550,21 +410,22 @@ mod tests {
         reg.incr(c, t(26_000), 1);
         reg.finish();
 
-        let mut mem = MemorySink::new();
-        reg.drain_into(&mut mem);
-        let names: Vec<&str> = mem.records.iter().map(|(n, _, _)| n.as_str()).collect();
-        assert_eq!(names, ["events", "queue", "rt_us", "events"]);
-
-        let (_, _, ev0) = &mem.records[0];
-        assert_eq!((ev0.window, ev0.count, ev0.sum), (0, 2, 4));
-        assert_eq!((ev0.min, ev0.max, ev0.last), (1, 3, 3));
-
-        let (_, _, rt) = &mem.records[2];
-        // 1500 has bit width 11.
-        assert_eq!(rt.buckets, vec![(11, 1)]);
-
-        let (_, _, ev1) = &mem.records[3];
-        assert_eq!((ev1.window, ev1.start_us, ev1.sum), (1, 25_000, 1));
+        let lines = drain(&mut reg);
+        assert_eq!(
+            lines,
+            [
+                "{\"window\":0,\"start_us\":0,\"metric\":\"events\",\"kind\":\"counter\",\
+                 \"count\":2,\"sum\":4,\"min\":1,\"max\":3,\"last\":3}",
+                "{\"window\":0,\"start_us\":0,\"metric\":\"queue\",\"kind\":\"gauge\",\
+                 \"count\":1,\"sum\":7,\"min\":7,\"max\":7,\"last\":7}",
+                // 1500 has bit width 11.
+                "{\"window\":0,\"start_us\":0,\"metric\":\"rt_us\",\"kind\":\"histogram\",\
+                 \"count\":1,\"sum\":1500,\"min\":1500,\"max\":1500,\"last\":1500,\
+                 \"buckets\":[[11,1]]}",
+                "{\"window\":1,\"start_us\":25000,\"metric\":\"events\",\"kind\":\"counter\",\
+                 \"count\":1,\"sum\":1,\"min\":1,\"max\":1,\"last\":1}",
+            ]
+        );
     }
 
     #[test]
@@ -598,11 +459,10 @@ mod tests {
         // A long quiet gap: windows 1..99 must not appear.
         reg.incr(c, t(1_000_000), 1);
         reg.finish();
-        let mut mem = MemorySink::new();
-        reg.drain_into(&mut mem);
-        assert_eq!(mem.records.len(), 2);
-        assert_eq!(mem.records[0].2.window, 0);
-        assert_eq!(mem.records[1].2.window, 100);
+        let lines = drain(&mut reg);
+        assert_eq!(lines.len(), 2);
+        assert!(lines[0].starts_with("{\"window\":0,"));
+        assert!(lines[1].starts_with("{\"window\":100,"));
     }
 
     #[test]
@@ -622,74 +482,5 @@ mod tests {
             sink.into_string()
         };
         assert_eq!(run(true), run(false));
-    }
-
-    #[test]
-    fn csv_sink_renders_integer_rows() {
-        let mut reg = Registry::new(SimDuration::from_millis(10));
-        let g = reg.register_gauge("dirty");
-        reg.gauge_set(g, t(500), u64::from(u32::MAX));
-        reg.finish();
-        let mut sink = CsvSink::new();
-        reg.drain_into(&mut sink);
-        let text = sink.into_string();
-        assert!(text.starts_with("window,start_us,metric,kind,"));
-        assert!(text.contains("0,0,dirty,gauge,1,4294967295,4294967295,4294967295,4294967295"));
-    }
-
-    #[test]
-    fn log2_percentile_of_empty_histogram_is_none() {
-        assert_eq!(log2_percentile(&[], 500), None);
-        assert_eq!(log2_percentile(&[(3, 0), (7, 0)], 999), None);
-    }
-
-    #[test]
-    fn log2_percentile_of_single_sample_hits_its_bucket_at_every_rank() {
-        // One value of bit width 5 (16..=31): every permille, including
-        // the degenerate 0, lands in that bucket's upper bound.
-        for permille in [0, 1, 500, 999, 1000] {
-            assert_eq!(log2_percentile(&[(5, 1)], permille), Some(31));
-        }
-        // Width 0 is the value zero itself.
-        assert_eq!(log2_percentile(&[(0, 1)], 999), Some(0));
-    }
-
-    #[test]
-    fn log2_percentile_on_exact_bucket_boundary() {
-        // 999 samples in width 4, 1 sample in width 10: rank(p99.9) =
-        // ⌈1000·999/1000⌉ = 999 — exactly the last sample of the first
-        // bucket, so p999 must NOT spill into the outlier bucket...
-        let buckets = [(4u8, 999u64), (10u8, 1u64)];
-        assert_eq!(log2_percentile(&buckets, 999), Some(15));
-        // ...while one more thousandth of rank does.
-        assert_eq!(log2_percentile(&buckets, 1000), Some(1023));
-    }
-
-    #[test]
-    fn log2_percentile_saturates_at_the_top_bucket() {
-        // Width 64 holds values ≥ 2^63; its bound saturates to u64::MAX
-        // instead of overflowing 1 << 64.
-        assert_eq!(log2_percentile(&[(64, 3)], 999), Some(u64::MAX));
-        // Permille above 1000 clamps rather than over-ranking.
-        assert_eq!(log2_percentile(&[(2, 4)], 5000), Some(3));
-    }
-
-    #[test]
-    fn log2_percentile_matches_cell_bucketing() {
-        // End to end: observe values through a real registry window and
-        // check the percentile of the exported buckets.
-        let mut reg = Registry::new(SimDuration::from_millis(10));
-        let h = reg.register_histogram("rt");
-        for v in [1u64, 2, 3, 900, 1_500] {
-            reg.observe(h, t(100), v);
-        }
-        reg.finish();
-        let mut sink = MemorySink::new();
-        reg.drain_into(&mut sink);
-        let buckets = &sink.records[0].2.buckets;
-        // p50 → rank 3 → value 3 (width 2, bound 3).
-        assert_eq!(log2_percentile(buckets, 500), Some(3));
-        // p99.9 → rank 5 → 1500 (width 11, bound 2047).
-        assert_eq!(log2_percentile(buckets, 999), Some(2047));
     }
 }

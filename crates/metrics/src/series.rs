@@ -48,11 +48,6 @@ impl WindowedCounter {
         }
     }
 
-    /// The paper's 50 ms window.
-    pub fn paper_window() -> Self {
-        WindowedCounter::new(SimDuration::from_millis(50))
-    }
-
     /// Window width.
     pub fn window(&self) -> SimDuration {
         self.window
@@ -78,29 +73,14 @@ impl WindowedCounter {
         (t.as_micros() / self.window.as_micros()) as usize
     }
 
-    /// Start time of window `idx`.
-    pub fn window_start(&self, idx: usize) -> SimTime {
-        SimTime::from_micros(idx as u64 * self.window.as_micros())
-    }
-
     /// Counts per window, from window 0 to the last touched window.
     pub fn counts(&self) -> &[u64] {
         &self.counts
     }
 
-    /// Count in the window containing `t` (0 if untouched).
-    pub fn count_at(&self, t: SimTime) -> u64 {
-        self.counts.get(self.index_of(t)).copied().unwrap_or(0)
-    }
-
     /// Total events across all windows.
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// Largest single-window count.
-    pub fn peak(&self) -> u64 {
-        self.counts.iter().copied().max().unwrap_or(0)
     }
 
     /// Counts as `f64` (handy for charting).
@@ -171,11 +151,6 @@ impl WindowedSeries {
             window,
             buckets: Vec::new(),
         }
-    }
-
-    /// The paper's 50 ms window.
-    pub fn paper_window() -> Self {
-        WindowedSeries::new(SimDuration::from_millis(50))
     }
 
     /// Window width.
@@ -259,11 +234,11 @@ mod tests {
 
     #[test]
     fn counter_add_n() {
-        let mut c = WindowedCounter::paper_window();
+        let mut c = WindowedCounter::new(SimDuration::from_millis(50));
         c.add(t(10), 5);
-        assert_eq!(c.count_at(t(49)), 5);
-        assert_eq!(c.count_at(t(51)), 0);
-        assert_eq!(c.total(), 5);
+        c.add(t(49), 2);
+        assert_eq!(c.counts(), &[7]);
+        assert_eq!(c.total(), 7);
     }
 
     #[test]
@@ -272,17 +247,20 @@ mod tests {
         c.add(t(0), 3);
         c.add(t(15), 7);
         c.add(t(25), 2);
-        assert_eq!(c.peak(), 7);
+        assert_eq!(c.counts().iter().max(), Some(&7));
         assert_eq!(c.total(), 12);
         assert_eq!(c.to_f64(), vec![3.0, 7.0, 2.0]);
     }
 
     #[test]
     fn counter_window_start_roundtrip() {
+        // Every instant of window 2, from its start to its last µs, maps
+        // back to index 2.
         let c = WindowedCounter::new(SimDuration::from_millis(50));
-        let idx = c.index_of(t(125));
-        assert_eq!(idx, 2);
-        assert_eq!(c.window_start(idx), t(100));
+        assert_eq!(c.index_of(t(100)), 2);
+        assert_eq!(c.index_of(t(125)), 2);
+        assert_eq!(c.index_of(SimTime::from_micros(149_999)), 2);
+        assert_eq!(c.index_of(t(150)), 3);
     }
 
     #[test]
@@ -310,7 +288,7 @@ mod tests {
 
     #[test]
     fn series_global_max() {
-        let mut s = WindowedSeries::paper_window();
+        let mut s = WindowedSeries::new(SimDuration::from_millis(50));
         assert_eq!(s.global_max(), None);
         s.record(t(1), 1.5);
         s.record(t(500), 9.5);
@@ -320,7 +298,7 @@ mod tests {
 
     #[test]
     fn window_at_empty_is_none() {
-        let s = WindowedSeries::paper_window();
+        let s = WindowedSeries::new(SimDuration::from_millis(50));
         assert!(s.window_at(t(0)).is_none());
     }
 

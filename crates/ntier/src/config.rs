@@ -260,6 +260,9 @@ impl SystemConfig {
         if self.apache_workers == 0 || self.tomcat_threads == 0 {
             return Err("worker/thread pools must be positive".into());
         }
+        if self.apache_accept_queue == 0 {
+            return Err("apache_accept_queue must be positive".into());
+        }
         if self.pool_size == 0 || self.db_pool_per_tomcat == 0 {
             return Err("connection pools must be positive".into());
         }
@@ -285,6 +288,18 @@ impl SystemConfig {
                 ));
             }
         }
+        let machine =
+            |name: &str, m: &MachineConfig| m.validate().map_err(|e| format!("{name}.{e}"));
+        machine("apache_machine", &self.apache_machine)?;
+        machine("mysql_machine", &self.mysql_machine)?;
+        match &self.tomcat_machines {
+            Some(machines) => {
+                for (i, m) in machines.iter().enumerate() {
+                    machine(&format!("tomcat_machines[{i}]"), m)?;
+                }
+            }
+            None => machine("tomcat_machine", &self.tomcat_machine)?,
+        }
         if self.trace.enabled && self.trace.vlrt_capacity == 0 && self.trace.recent_capacity == 0 {
             return Err(
                 "tracing is enabled but retains nothing; raise recent_capacity \
@@ -294,18 +309,6 @@ impl SystemConfig {
         }
         if self.trace.sample_every == 0 {
             return Err("trace.sample_every must be >= 1 (1 = trace everything)".into());
-        }
-        if self.metrics.enabled {
-            if self.metrics.window.is_zero() {
-                return Err("metrics.window must be positive".into());
-            }
-            if self.metrics.window > SimDuration::from_millis(50) {
-                return Err(
-                    "metrics.window must be <= 50 ms: millibottlenecks last 10s–100s \
-                     of ms and coarser windows average them away"
-                        .into(),
-                );
-            }
         }
         if self.detector_feedback && !self.metrics.enabled {
             return Err(
@@ -426,18 +429,38 @@ mod tests {
         assert!(c.validate().is_err());
     }
 
+    /// `NTierSystem::new` must reject `c` with an error naming `field`.
+    fn rejected_naming(c: SystemConfig, field: &str) {
+        let err = crate::system::NTierSystem::new(c)
+            .expect_err("config must be rejected")
+            .to_string();
+        assert!(err.contains(field), "{err:?} does not name {field}");
+    }
+
     #[test]
-    fn validation_bounds_the_metrics_window() {
+    fn zero_accept_queue_is_rejected_not_a_panic() {
         let mut c = SystemConfig::smoke(bal());
-        c.metrics = MetricsConfig::enabled_default();
-        assert!(c.validate().is_ok());
-        c.metrics.window = SimDuration::ZERO;
-        assert!(c.validate().is_err());
-        c.metrics.window = SimDuration::from_millis(60);
-        assert!(c.validate().is_err(), "sub-50 ms windows are the contract");
-        // A disabled subsystem's window is not validated.
-        c.metrics.enabled = false;
-        assert!(c.validate().is_ok());
+        c.apache_accept_queue = 0;
+        rejected_naming(c, "apache_accept_queue");
+    }
+
+    #[test]
+    fn zero_tomcat_cores_are_rejected_not_a_panic() {
+        let mut c = SystemConfig::smoke(bal());
+        c.tomcat_machine.cores = 0;
+        rejected_naming(c, "tomcat_machine.cores");
+        let mut c = SystemConfig::smoke(bal());
+        let mut machines = vec![c.tomcat_machine.clone(); c.tomcats];
+        machines[1].cores = 0;
+        c.tomcat_machines = Some(machines);
+        rejected_naming(c, "tomcat_machines[1].cores");
+    }
+
+    #[test]
+    fn zero_mysql_disk_bandwidth_is_rejected_not_a_panic() {
+        let mut c = SystemConfig::smoke(bal());
+        c.mysql_machine.disk_write_bandwidth = 0;
+        rejected_naming(c, "mysql_machine.disk_write_bandwidth");
     }
 
     #[test]

@@ -1,17 +1,21 @@
-//! System-side wiring of the streaming telemetry registry and the
-//! online millibottleneck detector.
+//! The streaming telemetry registry and the online millibottleneck
+//! detector.
 //!
 //! [`LiveMetrics`] bundles one [`Registry`] (every layer's instruments,
-//! registered by name at construction in a fixed order) with one
-//! [`MillibottleneckDetector`] fed integer per-window deltas at each
-//! monitor tick. Like tracing, the subsystem is **observational** by
-//! default: it never schedules events or perturbs any random stream, so
-//! enabling it leaves a run's trace digests byte-identical — an
-//! invariant the observability integration tests assert. The one opt-in
-//! exception is `SystemConfig::detector_feedback`, which routes freshly
-//! closed detector flags (via [`LiveMetrics::drain_new_flags`]) back
-//! into the balancers' `DetectorDriven` eligibility masks — a deliberate
-//! closing of the loop that changes routing, never the clock or RNGs.
+//! registered by name at construction in a fixed order, aggregated into
+//! [`REGISTRY_WINDOW`]s) with one [`MillibottleneckDetector`]. It is an
+//! optional part of [`crate::telemetry::Telemetry`]: the system feeds
+//! `Telemetry` alone, and `Telemetry` hands the registry and detector
+//! the same per-event hooks and the same monitor snapshot, with the CPU
+//! counters already differenced to integer per-window deltas. Like
+//! tracing, the subsystem is **observational** by default: it never
+//! schedules events or perturbs any random stream, so enabling it
+//! leaves a run's trace digests byte-identical — an invariant the
+//! observability integration tests assert. The one opt-in exception is
+//! `SystemConfig::detector_feedback`, which routes freshly closed
+//! detector flags (via [`LiveMetrics::drain_new_flags`]) back into the
+//! balancers' `DetectorDriven` eligibility masks — a deliberate closing
+//! of the loop that changes routing, never the clock or RNGs.
 //!
 //! Instrument map (registration order):
 //!
@@ -25,47 +29,35 @@
 //! | per server | `<server>.queue_depth`, `<server>.dirty_bytes`, `<server>.iowait_us` | gauges |
 //! | per backend | `lb.tomcat<i>` (policy lb_value) | gauge |
 
-use mlb_metrics::detector::{DetectorConfig, DetectorFlag, MillibottleneckDetector};
+use mlb_metrics::detector::{DetectorFlag, MillibottleneckDetector};
 use mlb_metrics::registry::{JsonlSink, MetricId, Registry};
 use mlb_metrics::spans::StallWindow;
 use mlb_simkernel::time::{SimDuration, SimTime};
 
+use crate::telemetry::MonitorSnapshot;
+
+/// The registry's aggregation window. The paper's monitoring resolution
+/// argument (millibottlenecks last 10s–100s of ms) wants sub-50 ms
+/// windows.
+pub const REGISTRY_WINDOW: SimDuration = SimDuration::from_millis(25);
+
 /// Configuration of the streaming telemetry subsystem.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsConfig {
     /// Master switch. When off, the system carries no registry and every
     /// hook is a single `Option` check.
     pub enabled: bool,
-    /// Registry aggregation window. The paper's monitoring resolution
-    /// argument (millibottlenecks last 10s–100s of ms) wants sub-50 ms
-    /// windows; [`MetricsConfig::enabled_default`] uses 25 ms.
-    pub window: SimDuration,
-    /// Queue depth at or above which the detector flags a queue spike.
-    pub queue_spike_threshold: u64,
 }
 
 impl MetricsConfig {
     /// Telemetry off (the default).
     pub fn disabled() -> Self {
-        MetricsConfig {
-            enabled: false,
-            window: SimDuration::from_millis(25),
-            queue_spike_threshold: 100,
-        }
+        MetricsConfig { enabled: false }
     }
 
-    /// Telemetry on with a 25 ms registry window.
+    /// Telemetry on.
     pub fn enabled_default() -> Self {
-        MetricsConfig {
-            enabled: true,
-            ..MetricsConfig::disabled()
-        }
-    }
-}
-
-impl Default for MetricsConfig {
-    fn default() -> Self {
-        MetricsConfig::disabled()
+        MetricsConfig { enabled: true }
     }
 }
 
@@ -95,9 +87,6 @@ pub struct LiveMetrics {
     ids: Instruments,
     /// Monitor tick interval (= detector window width).
     interval: SimDuration,
-    /// Previous cumulative (busy_us, iowait_us) per server slot, for
-    /// integer window deltas.
-    last_cpu: Vec<(u64, u64)>,
     /// Drain cursor into the detector's flag log for the feedback path:
     /// flags at indices `>= flag_cursor` have not been consumed yet.
     flag_cursor: usize,
@@ -107,7 +96,7 @@ impl LiveMetrics {
     /// Builds the registry + detector for an `apaches`×`tomcats`×1
     /// topology sampled every `interval` (the system's
     /// `sample_interval`).
-    pub fn new(cfg: &MetricsConfig, apaches: usize, tomcats: usize, interval: SimDuration) -> Self {
+    pub fn new(apaches: usize, tomcats: usize, interval: SimDuration) -> Self {
         let mut labels: Vec<String> = Vec::with_capacity(apaches + tomcats + 1);
         for i in 0..apaches {
             labels.push(format!("apache{}", i + 1));
@@ -117,7 +106,7 @@ impl LiveMetrics {
         }
         labels.push("mysql".to_owned());
 
-        let mut registry = Registry::new(cfg.window);
+        let mut registry = Registry::new(REGISTRY_WINDOW);
         let ids = Instruments {
             events: registry.register_counter("sim.events"),
             event_queue_depth: registry.register_gauge("sim.event_queue_depth"),
@@ -142,20 +131,11 @@ impl LiveMetrics {
                 .map(|i| registry.register_gauge(&format!("lb.tomcat{}", i + 1)))
                 .collect(),
         };
-        let detector = MillibottleneckDetector::new(
-            interval,
-            labels,
-            DetectorConfig {
-                queue_spike_threshold: cfg.queue_spike_threshold,
-            },
-        );
-        let server_count = detector.server_count();
         LiveMetrics {
             registry,
-            detector,
+            detector: MillibottleneckDetector::new(interval, labels),
             ids,
             interval,
-            last_cpu: vec![(0, 0); server_count],
             flag_cursor: 0,
         }
     }
@@ -187,51 +167,31 @@ impl LiveMetrics {
         self.registry.incr(self.ids.failures, now, 1);
     }
 
-    /// Samples the event-loop depth at a monitor tick.
-    pub fn sample_event_queue(&mut self, now: SimTime, pending: usize) {
-        self.registry
-            .gauge_set(self.ids.event_queue_depth, now, pending as u64);
-    }
-
-    /// Samples one server at a monitor tick: cumulative core-µs counters
-    /// (differenced internally), queue depth and dirty bytes — and feeds
-    /// the detector the closed window.
-    pub fn sample_server(
+    /// Records one monitor tick: the event-loop depth, each server's
+    /// levels and CPU deltas (feeding the detector the closed window),
+    /// then Apache 1's lb_values. `cpu_deltas[slot]` holds the busy and
+    /// iowait core-µs the server accrued over the window.
+    pub fn record_monitor(
         &mut self,
         now: SimTime,
-        slot: usize,
-        busy_cum_us: u64,
-        iowait_cum_us: u64,
-        queue_depth: u64,
-        dirty_bytes: u64,
+        snap: &MonitorSnapshot<'_>,
+        cpu_deltas: &[(u64, u64)],
     ) {
-        let (last_busy, last_iowait) = self.last_cpu[slot];
-        let busy_delta = busy_cum_us.saturating_sub(last_busy);
-        let iowait_delta = iowait_cum_us.saturating_sub(last_iowait);
-        self.last_cpu[slot] = (busy_cum_us, iowait_cum_us);
-
         self.registry
-            .gauge_set(self.ids.queue[slot], now, queue_depth);
-        self.registry
-            .gauge_set(self.ids.dirty[slot], now, dirty_bytes);
-        self.registry
-            .gauge_set(self.ids.iowait[slot], now, iowait_delta);
-
+            .gauge_set(self.ids.event_queue_depth, now, snap.pending as u64);
         // The tick at t = k·interval closes window k−1.
         let window = (now.as_micros() / self.interval.as_micros()).saturating_sub(1);
-        self.detector.observe(
-            window,
-            slot,
-            iowait_delta,
-            busy_delta,
-            queue_depth,
-            dirty_bytes,
-        );
-    }
-
-    /// Samples one backend's policy lb_value at a monitor tick.
-    pub fn sample_lb(&mut self, now: SimTime, backend: usize, lb_value: u64) {
-        self.registry.gauge_set(self.ids.lb[backend], now, lb_value);
+        for (slot, (s, &(busy, iowait))) in snap.servers.iter().zip(cpu_deltas).enumerate() {
+            self.registry.gauge_set(self.ids.queue[slot], now, s.queue);
+            self.registry
+                .gauge_set(self.ids.dirty[slot], now, s.dirty_bytes);
+            self.registry.gauge_set(self.ids.iowait[slot], now, iowait);
+            self.detector
+                .observe(window, slot, iowait, busy, s.queue, s.dirty_bytes);
+        }
+        for (&id, &v) in self.ids.lb.iter().zip(snap.lb_values) {
+            self.registry.gauge_set(id, now, v);
+        }
     }
 
     /// The registry (e.g. for incremental draining mid-run).
@@ -301,16 +261,11 @@ impl MetricsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlb_metrics::detector::FlagKind;
+    use crate::telemetry::ServerSample;
 
     #[test]
     fn registration_order_is_stable_and_layers_are_covered() {
-        let lm = LiveMetrics::new(
-            &MetricsConfig::enabled_default(),
-            2,
-            2,
-            SimDuration::from_millis(50),
-        );
+        let lm = LiveMetrics::new(2, 2, SimDuration::from_millis(50));
         assert_eq!(lm.registry.name(lm.ids.events), "sim.events");
         assert_eq!(lm.registry.name(lm.ids.queue[0]), "apache1.queue_depth");
         assert_eq!(lm.registry.name(lm.ids.dirty[2]), "tomcat1.dirty_bytes");
@@ -321,47 +276,35 @@ mod tests {
     }
 
     #[test]
-    fn sample_server_differences_cumulative_counters() {
-        let mut lm = LiveMetrics::new(
-            &MetricsConfig::enabled_default(),
-            1,
-            1,
-            SimDuration::from_millis(50),
-        );
-        let tick = SimTime::from_millis(50);
-        // Window 0 for tomcat1 (slot 1): 30 ms of iowait, frozen, queued.
-        lm.sample_server(tick, 1, 0, 30_000, 5, 1_000);
-        let tick2 = SimTime::from_millis(100);
-        // Window 1: thawed, dirty dropped (flush completed).
-        lm.sample_server(tick2, 1, 20_000, 30_000, 0, 100);
-        let report = lm.into_report();
-        assert_eq!(report.stalls.len(), 1);
-        assert_eq!(report.stalls[0].server, "tomcat1");
-        assert!(report
-            .flags
-            .iter()
-            .any(|f| f.kind == FlagKind::IowaitSaturated && f.window == 0));
-        assert!(report.jsonl.contains("\"metric\":\"tomcat1.iowait_us\""));
-        assert_ne!(report.digest(), 0);
-    }
-
-    #[test]
     fn drain_new_flags_returns_each_flag_exactly_once() {
-        let mut lm = LiveMetrics::new(
-            &MetricsConfig::enabled_default(),
-            1,
-            1,
-            SimDuration::from_millis(50),
-        );
+        let mut lm = LiveMetrics::new(1, 1, SimDuration::from_millis(50));
+        // Tomcat1 (slot 1) frozen with a queue: one window of iowait.
+        let tick = |lm: &mut LiveMetrics, ms: u64, queue: u64| {
+            let mut servers = [ServerSample::default(); 3];
+            servers[1] = ServerSample {
+                queue,
+                dirty_bytes: 1_000,
+                ..ServerSample::default()
+            };
+            let snap = MonitorSnapshot {
+                servers: &servers,
+                lb_values: &[0],
+                pending: 0,
+            };
+            lm.record_monitor(
+                SimTime::from_millis(ms),
+                &snap,
+                &[(0, 0), (0, 30_000), (0, 0)],
+            );
+        };
         assert!(lm.drain_new_flags().is_empty());
-        // Window 0 for tomcat1 (slot 1): saturated iowait and a queue.
-        lm.sample_server(SimTime::from_millis(50), 1, 0, 30_000, 5, 1_000);
+        tick(&mut lm, 50, 5);
         let fresh = lm.drain_new_flags();
         assert!(!fresh.is_empty());
         assert!(fresh.iter().all(|f| f.window == 0 && f.server == 1));
         // Nothing new until another window closes with activity.
         assert!(lm.drain_new_flags().is_empty());
-        lm.sample_server(SimTime::from_millis(100), 1, 0, 60_000, 7, 2_000);
+        tick(&mut lm, 100, 7);
         let fresh = lm.drain_new_flags();
         assert!(fresh.iter().all(|f| f.window == 1));
         assert!(lm.drain_new_flags().is_empty());

@@ -45,7 +45,7 @@ use crate::metrics::{LiveMetrics, MetricsReport};
 use crate::request::{Phase, RequestId, RequestState};
 use crate::servers::{ApacheServer, MySqlServer, TomcatServer};
 use crate::slab::RequestArena;
-use crate::telemetry::Telemetry;
+use crate::telemetry::{MonitorSnapshot, ServerSample, Telemetry};
 use crate::trace::Tracer;
 
 /// Error returned when a [`SystemConfig`] fails validation.
@@ -81,11 +81,10 @@ pub struct NTierSystem {
     /// Per-client session pins with violation accounting (sticky
     /// sessions): the Tomcat that served the client's first request.
     session_affinity: SessionAffinity,
+    /// Every telemetry hook lands here, including the streaming
+    /// registry + online detector when `cfg.metrics` is on.
     telemetry: Telemetry,
     tracer: Tracer,
-    /// Streaming registry + online detector, when `cfg.metrics` is on.
-    /// Observational-only, like the tracer.
-    metrics: Option<LiveMetrics>,
     next_request: u64,
     horizon: SimTime,
     mix_rng: Xoshiro256StarStar,
@@ -129,12 +128,9 @@ impl NTierSystem {
             })
             .collect();
         let mysql = MySqlServer::new(Machine::new(cfg.mysql_machine.clone()));
-        let telemetry = Telemetry::new(cfg.apaches, cfg.tomcats, cfg.sample_interval);
+        let telemetry = Telemetry::new(cfg.apaches, cfg.tomcats, cfg.sample_interval)
+            .with_metrics(&cfg.metrics);
         let tracer = Tracer::new(&cfg.trace);
-        let metrics = cfg
-            .metrics
-            .enabled
-            .then(|| LiveMetrics::new(&cfg.metrics, cfg.apaches, cfg.tomcats, cfg.sample_interval));
         Ok(NTierSystem {
             horizon: SimTime::ZERO + cfg.duration,
             mix_rng: seeds.stream("mix"),
@@ -155,7 +151,6 @@ impl NTierSystem {
             ),
             telemetry,
             tracer,
-            metrics,
             next_request: 0,
             cfg,
         })
@@ -206,23 +201,11 @@ impl NTierSystem {
         }
 
         // pdflush daemons, staggered so servers do not flush in lockstep.
-        let mut pdflush_starts = Vec::new();
-        {
-            let model = sim.model();
-            for (i, a) in model.apaches.iter().enumerate() {
-                if let Some(interval) = a.machine.flush_interval() {
-                    pdflush_starts.push((ServerRef::Apache(i), interval));
-                }
-            }
-            for (i, t) in model.tomcats.iter().enumerate() {
-                if let Some(interval) = t.machine.flush_interval() {
-                    pdflush_starts.push((ServerRef::Tomcat(i), interval));
-                }
-            }
-            if let Some(interval) = model.mysql.machine.flush_interval() {
-                pdflush_starts.push((ServerRef::MySql, interval));
-            }
-        }
+        let pdflush_starts: Vec<_> = sim
+            .model()
+            .machines()
+            .filter_map(|(server, m)| Some((server, m.flush_interval()?)))
+            .collect();
         for (server, interval) in pdflush_starts {
             let offset =
                 mlb_simkernel::rng::uniform_duration(&mut pdflush_rng, SimDuration::ZERO, interval);
@@ -231,23 +214,11 @@ impl NTierSystem {
 
         // GC daemons, staggered like pdflush.
         let mut gc_rng = SeedSequence::new(sim.model().cfg.seed).stream("gc");
-        let mut gc_starts = Vec::new();
-        {
-            let model = sim.model();
-            for (i, a) in model.apaches.iter().enumerate() {
-                if let Some(gc) = a.machine.gc_config() {
-                    gc_starts.push((ServerRef::Apache(i), gc.period));
-                }
-            }
-            for (i, t) in model.tomcats.iter().enumerate() {
-                if let Some(gc) = t.machine.gc_config() {
-                    gc_starts.push((ServerRef::Tomcat(i), gc.period));
-                }
-            }
-            if let Some(gc) = model.mysql.machine.gc_config() {
-                gc_starts.push((ServerRef::MySql, gc.period));
-            }
-        }
+        let gc_starts: Vec<_> = sim
+            .model()
+            .machines()
+            .filter_map(|(server, m)| Some((server, m.gc_config()?.period)))
+            .collect();
         for (server, period) in gc_starts {
             let offset =
                 mlb_simkernel::rng::uniform_duration(&mut gc_rng, SimDuration::ZERO, period);
@@ -289,23 +260,24 @@ impl NTierSystem {
     /// The live telemetry bundle, when `cfg.metrics` is enabled — for
     /// incremental draining of the registry mid-run.
     pub fn live_metrics_mut(&mut self) -> Option<&mut LiveMetrics> {
-        self.metrics.as_mut()
+        self.telemetry.live_metrics_mut()
     }
 
     /// The online detector's state so far, when metrics are enabled.
     pub fn detector(&self) -> Option<&MillibottleneckDetector> {
-        self.metrics.as_ref().map(LiveMetrics::detector)
+        self.telemetry.detector()
     }
 
     /// Consumes the system, returning its telemetry, the per-request
     /// trace log (if tracing was enabled), and the telemetry registry's
     /// end-of-run report (if metrics were enabled).
     pub fn into_parts(self) -> (Telemetry, Option<TraceLog>, Option<MetricsReport>) {
-        (
-            self.telemetry,
-            self.tracer.into_log(),
-            self.metrics.map(LiveMetrics::into_report),
-        )
+        // Release the tracer's in-flight traces and spare buffers before
+        // the registry report renders its JSONL, so the two never peak
+        // together.
+        let log = self.tracer.into_log();
+        let (telemetry, report) = self.telemetry.into_parts();
+        (telemetry, log, report)
     }
 
     /// The Apache servers (for post-run inspection).
@@ -378,6 +350,16 @@ impl NTierSystem {
 
     fn link_delay(&mut self) -> SimDuration {
         self.cfg.link.sample(&mut self.net_rng)
+    }
+
+    /// Every server's machine in slot order: Apaches, Tomcats, MySQL.
+    fn machines(&self) -> impl Iterator<Item = (ServerRef, &Machine)> + '_ {
+        let apaches = self.apaches.iter().enumerate();
+        let tomcats = self.tomcats.iter().enumerate();
+        apaches
+            .map(|(i, a)| (ServerRef::Apache(i), &a.machine))
+            .chain(tomcats.map(|(i, t)| (ServerRef::Tomcat(i), &t.machine)))
+            .chain(std::iter::once((ServerRef::MySql, &self.mysql.machine)))
     }
 
     fn machine_of(&mut self, server: ServerRef) -> &mut Machine {
@@ -455,10 +437,7 @@ impl NTierSystem {
         let r = Self::remove_live(&mut self.requests, id);
         self.tracer
             .failed(id, now, now.saturating_since(r.first_issued));
-        self.telemetry.failed_requests += 1;
-        if let Some(m) = self.metrics.as_mut() {
-            m.on_failure(now);
-        }
+        self.telemetry.record_failure(now);
         if holds_worker {
             self.release_worker_and_admit(now, sched, r.apache);
         }
@@ -565,18 +544,12 @@ impl NTierSystem {
             Offer::Dropped => {
                 self.telemetry.record_drop(now);
                 self.tracer.dropped(id, now, attempt);
-                if let Some(m) = self.metrics.as_mut() {
-                    m.on_drop(now);
-                }
                 let rto = Self::live_mut(&mut self.requests, id)
                     .retransmit
                     .on_drop(&self.cfg.rto);
                 match rto {
                     Some(delay) => {
-                        self.telemetry.retransmits += 1;
-                        if let Some(m) = self.metrics.as_mut() {
-                            m.on_retransmit(now);
-                        }
+                        self.telemetry.record_retransmit(now);
                         self.tracer
                             .retransmit_scheduled(id, now, attempt + 1, delay);
                         sched.at(now + delay, Event::ClientRetransmit { request: id });
@@ -981,9 +954,6 @@ impl NTierSystem {
         let rt = now.saturating_since(r.first_issued);
         self.tracer.completed(id, now, rt);
         self.telemetry.record_completion(now, rt);
-        if let Some(m) = self.metrics.as_mut() {
-            m.on_completion(now, rt.as_micros());
-        }
         // Fold the request's time into the phase breakdown. The timestamps
         // chain first_issued → arrived → admitted → routed → acquired →
         // replied → now, so the segments partition the response time.
@@ -1076,115 +1046,43 @@ impl NTierSystem {
     }
 
     fn on_monitor(&mut self, now: SimTime, sched: &mut Scheduler<'_, Event>) {
-        let stamp = self.telemetry.window_stamp(now);
-        let (apaches, tomcats) = (self.cfg.apaches, self.cfg.tomcats);
-        for (i, a) in self.apaches.iter().enumerate() {
-            self.telemetry.apache_queues[i].record(stamp, a.queued_requests() as f64);
-            self.telemetry.apache_dirty[i].record(stamp, a.machine.dirty_bytes() as f64);
+        // Read every server once, in slot order: Apaches, Tomcats, MySQL.
+        let mut servers = Vec::with_capacity(self.apaches.len() + self.tomcats.len() + 1);
+        for a in &self.apaches {
+            servers.push(ServerSample::from_machine(
+                &a.machine,
+                now,
+                a.queued_requests(),
+            ));
         }
-        for (i, t) in self.tomcats.iter_mut().enumerate() {
+        for (t, &waiting) in self.tomcats.iter_mut().zip(&self.endpoint_waiters) {
             t.note_queue_depth();
             // Count both requests inside the Tomcat and requests committed
             // to it but blocked in get_endpoint — the paper's log-derived
             // per-server queues attribute those to the target server.
-            let committed = t.queued_requests() + self.endpoint_waiters[i];
-            self.telemetry.tomcat_queues[i].record(stamp, committed as f64);
-            self.telemetry.tomcat_dirty[i].record(stamp, t.machine.dirty_bytes() as f64);
+            let committed = t.queued_requests() + waiting;
+            servers.push(ServerSample::from_machine(&t.machine, now, committed));
         }
-        self.telemetry
-            .mysql_queue
-            .record(stamp, self.mysql.queued_requests() as f64);
-        // CPU utilization (slot order: apaches, tomcats, mysql).
-        for i in 0..apaches {
-            let cpu = &self.apaches[i].machine.cpu;
-            let (busy, iow, cores) = (
-                cpu.busy_core_micros(now),
-                cpu.iowait_core_micros(now),
-                cpu.cores(),
-            );
-            self.telemetry
-                .sample_cpu(now, i, cores, busy, iow, apaches, tomcats);
-        }
-        for i in 0..tomcats {
-            let cpu = &self.tomcats[i].machine.cpu;
-            let (busy, iow, cores) = (
-                cpu.busy_core_micros(now),
-                cpu.iowait_core_micros(now),
-                cpu.cores(),
-            );
-            self.telemetry
-                .sample_cpu(now, apaches + i, cores, busy, iow, apaches, tomcats);
-        }
-        {
-            let cpu = &self.mysql.machine.cpu;
-            let (busy, iow, cores) = (
-                cpu.busy_core_micros(now),
-                cpu.iowait_core_micros(now),
-                cpu.cores(),
-            );
-            self.telemetry
-                .sample_cpu(now, apaches + tomcats, cores, busy, iow, apaches, tomcats);
-        }
-        // lb_values as seen by Apache 1 (the paper's instrumented server).
-        for (t, &v) in self.apaches[0].balancer.lb_values().iter().enumerate() {
-            self.telemetry.lb_values[t].record(stamp, v as f64);
-        }
-        // The streaming registry + online detector see the same levels
-        // and the same cumulative CPU counters (differenced to integer
-        // window deltas inside `sample_server`), in slot order.
-        if let Some(m) = self.metrics.as_mut() {
-            m.sample_event_queue(now, sched.pending());
-            for (i, a) in self.apaches.iter().enumerate() {
-                m.sample_server(
-                    now,
-                    i,
-                    a.machine.cpu.busy_core_micros(now),
-                    a.machine.cpu.iowait_core_micros(now),
-                    a.queued_requests() as u64,
-                    a.machine.dirty_bytes(),
-                );
-            }
-            for (i, t) in self.tomcats.iter().enumerate() {
-                let committed = t.queued_requests() + self.endpoint_waiters[i];
-                m.sample_server(
-                    now,
-                    apaches + i,
-                    t.machine.cpu.busy_core_micros(now),
-                    t.machine.cpu.iowait_core_micros(now),
-                    committed as u64,
-                    t.machine.dirty_bytes(),
-                );
-            }
-            m.sample_server(
-                now,
-                apaches + tomcats,
-                self.mysql.machine.cpu.busy_core_micros(now),
-                self.mysql.machine.cpu.iowait_core_micros(now),
-                self.mysql.queued_requests() as u64,
-                self.mysql.machine.dirty_bytes(),
-            );
-            for (t, &v) in self.apaches[0].balancer.lb_values().iter().enumerate() {
-                m.sample_lb(now, t, v);
-            }
-        }
+        servers.push(ServerSample::from_machine(
+            &self.mysql.machine,
+            now,
+            self.mysql.queued_requests(),
+        ));
+        self.telemetry.on_monitor(
+            now,
+            &MonitorSnapshot {
+                servers: &servers,
+                lb_values: self.apaches[0].balancer.lb_values(),
+                pending: sched.pending(),
+            },
+        );
         // Detector feedback: convert the flags of the freshly closed
         // window into per-Tomcat stall signals and push them into every
         // Apache balancer. Each tick overwrites the previous signals, so
         // a Tomcat with no fresh flag is re-admitted deterministically
         // one window after its stall clears.
         if self.cfg.detector_feedback {
-            let stalled = self.metrics.as_mut().map(|m| {
-                let mut stalled = vec![false; tomcats];
-                for f in m.drain_new_flags() {
-                    // Detector slot order is apaches, tomcats, mysql;
-                    // only Tomcat flags map to routing backends.
-                    if (apaches..apaches + tomcats).contains(&f.server) {
-                        stalled[f.server - apaches] = true;
-                    }
-                }
-                stalled
-            });
-            if let Some(stalled) = stalled {
+            if let Some(stalled) = self.telemetry.drain_stalled_tomcats() {
                 for a in &mut self.apaches {
                     for (t, &s) in stalled.iter().enumerate() {
                         a.balancer.signal_stall(BackendId(t), s);
@@ -1203,9 +1101,7 @@ impl Model for NTierSystem {
     type Event = Event;
 
     fn handle(&mut self, now: SimTime, event: Event, sched: &mut Scheduler<'_, Event>) {
-        if let Some(m) = self.metrics.as_mut() {
-            m.on_event(now);
-        }
+        self.telemetry.on_event(now);
         match event {
             Event::ClientIssue { client } => self.on_client_issue(now, sched, client),
             Event::ClientRetransmit { request } => self.on_client_retransmit(now, sched, request),

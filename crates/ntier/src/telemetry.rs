@@ -2,13 +2,61 @@
 //!
 //! One [`Telemetry`] instance collects everything the paper's figures and
 //! Table I need, at the paper's 50 ms granularity. It is a passive data
-//! sink: [`crate::system::NTierSystem`] pushes samples into it, and the
-//! figure harness reads the series back out.
+//! sink and the system's single telemetry entry point:
+//! [`crate::system::NTierSystem`] pushes every hook and one
+//! [`MonitorSnapshot`] per monitor tick into it, and the figure harness
+//! reads the series back out. When metrics are on, `Telemetry` also
+//! carries the streaming registry and online detector ([`LiveMetrics`])
+//! and hands them the same samples, with the CPU counters differenced
+//! once for both.
 
+use mlb_metrics::detector::MillibottleneckDetector;
 use mlb_metrics::histogram::ResponseTimeHistogram;
 use mlb_metrics::series::{WindowedCounter, WindowedSeries};
 use mlb_metrics::summary::{ResponseStats, VLRT_THRESHOLD};
+use mlb_osmodel::machine::Machine;
 use mlb_simkernel::time::{SimDuration, SimTime};
+
+use crate::metrics::{LiveMetrics, MetricsConfig, MetricsReport};
+
+/// One server as a monitor tick reads it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServerSample {
+    /// Cumulative busy core-µs.
+    pub busy_us: u64,
+    /// Cumulative iowait core-µs.
+    pub iowait_us: u64,
+    /// CPU cores.
+    pub cores: usize,
+    /// Queued requests (the paper's per-server queue length).
+    pub queue: u64,
+    /// Dirty page-cache bytes.
+    pub dirty_bytes: u64,
+}
+
+impl ServerSample {
+    /// Reads `machine` at `now`, with `queue` requests attributed to it.
+    pub fn from_machine(machine: &Machine, now: SimTime, queue: usize) -> Self {
+        ServerSample {
+            busy_us: machine.cpu.busy_core_micros(now),
+            iowait_us: machine.cpu.iowait_core_micros(now),
+            cores: machine.cpu.cores(),
+            queue: queue as u64,
+            dirty_bytes: machine.dirty_bytes(),
+        }
+    }
+}
+
+/// Everything one monitor tick reads from the system, read once.
+#[derive(Debug, Clone, Copy)]
+pub struct MonitorSnapshot<'a> {
+    /// Every server in slot order: Apaches, Tomcats, MySQL.
+    pub servers: &'a [ServerSample],
+    /// Apache 1's lb_value per Tomcat (the paper's instrumented server).
+    pub lb_values: &'a [u64],
+    /// Events pending in the scheduler.
+    pub pending: usize,
+}
 
 /// Where completed requests spent their time, averaged over the run.
 ///
@@ -157,8 +205,12 @@ pub struct Telemetry {
 
     sample_interval: SimDuration,
     // Cumulative CPU counters at the previous sample, for differencing:
-    // (busy, iowait) per server, apaches then tomcats then mysql.
+    // (busy, iowait) per server slot.
     last_cpu: Vec<(u64, u64)>,
+    // (busy, iowait) core-µs per server slot over the last closed window.
+    cpu_delta: Vec<(u64, u64)>,
+    // The streaming registry + online detector, when metrics are on.
+    live: Option<LiveMetrics>,
 }
 
 impl Telemetry {
@@ -193,12 +245,30 @@ impl Telemetry {
             phase_breakdown: PhaseBreakdown::default(),
             sample_interval,
             last_cpu: vec![(0, 0); apaches + tomcats + 1],
+            cpu_delta: vec![(0, 0); apaches + tomcats + 1],
+            live: None,
         }
     }
 
-    /// The sampling window width.
-    pub fn sample_interval(&self) -> SimDuration {
-        self.sample_interval
+    /// Adds the streaming registry and online detector when `cfg` turns
+    /// metrics on; they then see every sample this collector takes.
+    pub fn with_metrics(mut self, cfg: &MetricsConfig) -> Self {
+        if cfg.enabled {
+            self.live = Some(LiveMetrics::new(
+                self.apache_queues.len(),
+                self.tomcat_queues.len(),
+                self.sample_interval,
+            ));
+        }
+        self
+    }
+
+    /// One simulation event was handled.
+    #[inline]
+    pub fn on_event(&mut self, now: SimTime) {
+        if let Some(m) = self.live.as_mut() {
+            m.on_event(now);
+        }
     }
 
     /// Records a completed request.
@@ -209,12 +279,34 @@ impl Telemetry {
         if rt > VLRT_THRESHOLD {
             self.vlrt_per_window.incr(now);
         }
+        if let Some(m) = self.live.as_mut() {
+            m.on_completion(now, rt.as_micros());
+        }
     }
 
     /// Records an accept-queue drop.
     pub fn record_drop(&mut self, now: SimTime) {
         self.drops += 1;
         self.drops_per_window.incr(now);
+        if let Some(m) = self.live.as_mut() {
+            m.on_drop(now);
+        }
+    }
+
+    /// Records a scheduled TCP retransmission.
+    pub fn record_retransmit(&mut self, now: SimTime) {
+        self.retransmits += 1;
+        if let Some(m) = self.live.as_mut() {
+            m.on_retransmit(now);
+        }
+    }
+
+    /// Records a terminally failed request.
+    pub fn record_failure(&mut self, now: SimTime) {
+        self.failed_requests += 1;
+        if let Some(m) = self.live.as_mut() {
+            m.on_failure(now);
+        }
     }
 
     /// Records a request assignment (endpoint acquired) from `apache` to
@@ -225,40 +317,87 @@ impl Telemetry {
         }
     }
 
-    /// Stores the CPU utilization sample for server slot `slot`
-    /// (0..apaches = Apaches, then Tomcats, then MySQL) given the
-    /// *cumulative* busy/iowait core-micros at `now`. The recorded value
-    /// is the busy (and iowait) fraction over the window just closed;
-    /// both samples are timestamped inside that window.
-    #[allow(clippy::too_many_arguments)] // flat sample call on the hot monitor path
-    pub fn sample_cpu(
-        &mut self,
-        now: SimTime,
-        slot: usize,
-        cores: usize,
-        busy_cum: u64,
-        iowait_cum: u64,
-        apaches: usize,
-        tomcats: usize,
-    ) {
-        let (prev_busy, prev_iowait) = self.last_cpu[slot];
-        let denom = (self.sample_interval.as_micros() * cores as u64) as f64;
-        let busy_frac = (busy_cum.saturating_sub(prev_busy)) as f64 / denom;
-        let iowait_frac = (iowait_cum.saturating_sub(prev_iowait)) as f64 / denom;
-        self.last_cpu[slot] = (busy_cum, iowait_cum);
+    /// Records one monitor tick. Queue depths, dirty bytes and lb_values
+    /// are levels; the CPU counters are cumulative and differenced here,
+    /// once, into the busy (and iowait) fraction of the window just
+    /// closed. Series samples are timestamped inside that window. The
+    /// registry and detector, when on, get the same levels and deltas.
+    pub fn on_monitor(&mut self, now: SimTime, snap: &MonitorSnapshot<'_>) {
         let stamp = self.window_stamp(now);
-        // The paper's CPU plots show saturation during iowait, so "util"
-        // includes the iowait share; the iowait series isolates it.
-        let util = (busy_frac + iowait_frac).min(1.0);
-        if slot < apaches {
-            self.apache_util[slot].record(stamp, util);
-            self.apache_iowait[slot].record(stamp, iowait_frac.min(1.0));
-        } else if slot < apaches + tomcats {
-            self.tomcat_util[slot - apaches].record(stamp, util);
-            self.tomcat_iowait[slot - apaches].record(stamp, iowait_frac.min(1.0));
-        } else {
-            self.mysql_util.record(stamp, util);
+        let (apaches, tomcats) = (self.apache_queues.len(), self.tomcat_queues.len());
+        for (slot, s) in snap.servers.iter().enumerate() {
+            let (prev_busy, prev_iowait) = self.last_cpu[slot];
+            let delta = (
+                s.busy_us.saturating_sub(prev_busy),
+                s.iowait_us.saturating_sub(prev_iowait),
+            );
+            self.last_cpu[slot] = (s.busy_us, s.iowait_us);
+            self.cpu_delta[slot] = delta;
+            let denom = (self.sample_interval.as_micros() * s.cores as u64) as f64;
+            let busy_frac = delta.0 as f64 / denom;
+            let iowait_frac = delta.1 as f64 / denom;
+            // The paper's CPU plots show saturation during iowait, so "util"
+            // includes the iowait share; the iowait series isolates it.
+            let util = (busy_frac + iowait_frac).min(1.0);
+            let (queue, dirty) = (s.queue as f64, s.dirty_bytes as f64);
+            if slot < apaches {
+                self.apache_queues[slot].record(stamp, queue);
+                self.apache_dirty[slot].record(stamp, dirty);
+                self.apache_util[slot].record(stamp, util);
+                self.apache_iowait[slot].record(stamp, iowait_frac.min(1.0));
+            } else if slot < apaches + tomcats {
+                let t = slot - apaches;
+                self.tomcat_queues[t].record(stamp, queue);
+                self.tomcat_dirty[t].record(stamp, dirty);
+                self.tomcat_util[t].record(stamp, util);
+                self.tomcat_iowait[t].record(stamp, iowait_frac.min(1.0));
+            } else {
+                self.mysql_queue.record(stamp, queue);
+                self.mysql_util.record(stamp, util);
+            }
         }
+        for (series, &v) in self.lb_values.iter_mut().zip(snap.lb_values) {
+            series.record(stamp, v as f64);
+        }
+        if let Some(m) = self.live.as_mut() {
+            m.record_monitor(now, snap, &self.cpu_delta);
+        }
+    }
+
+    /// Tomcats the detector flagged in the windows closed since the
+    /// previous call — the feed for `detector_feedback` routing. A
+    /// Tomcat with no fresh flag reads `false`, which re-admits it.
+    /// `None` when metrics are off.
+    pub fn drain_stalled_tomcats(&mut self) -> Option<Vec<bool>> {
+        let (apaches, tomcats) = (self.apache_queues.len(), self.tomcat_queues.len());
+        let m = self.live.as_mut()?;
+        let mut stalled = vec![false; tomcats];
+        for f in m.drain_new_flags() {
+            // Detector slot order is apaches, tomcats, mysql; only
+            // Tomcat flags map to routing backends.
+            if (apaches..apaches + tomcats).contains(&f.server) {
+                stalled[f.server - apaches] = true;
+            }
+        }
+        Some(stalled)
+    }
+
+    /// The registry and detector, when metrics are on — for incremental
+    /// draining of the registry mid-run.
+    pub fn live_metrics_mut(&mut self) -> Option<&mut LiveMetrics> {
+        self.live.as_mut()
+    }
+
+    /// The online detector's state so far, when metrics are on.
+    pub fn detector(&self) -> Option<&MillibottleneckDetector> {
+        self.live.as_ref().map(LiveMetrics::detector)
+    }
+
+    /// Splits off the registry and detector's end-of-run report (when
+    /// metrics are on), closing their tail windows.
+    pub fn into_parts(mut self) -> (Telemetry, Option<MetricsReport>) {
+        let report = self.live.take().map(LiveMetrics::into_report);
+        (self, report)
     }
 
     /// Timestamp that lands a sample taken at a window boundary inside the
@@ -294,6 +433,7 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlb_metrics::spans::StallKind;
 
     fn telemetry() -> Telemetry {
         Telemetry::new(2, 2, SimDuration::from_millis(50))
@@ -367,40 +507,115 @@ mod tests {
         assert_eq!(t.distribution[1].counts(), &[2]);
     }
 
+    /// Feeds `t` one monitor tick at `ms` over `servers` (slot order).
+    fn tick(t: &mut Telemetry, ms: u64, servers: &[ServerSample]) {
+        let snap = MonitorSnapshot {
+            servers,
+            lb_values: &[3, 4],
+            pending: 0,
+        };
+        t.on_monitor(SimTime::from_millis(ms), &snap);
+    }
+
+    /// A 4-core server with only the given cumulative counters set.
+    fn cpu(busy_us: u64, iowait_us: u64) -> ServerSample {
+        ServerSample {
+            busy_us,
+            iowait_us,
+            cores: 4,
+            ..ServerSample::default()
+        }
+    }
+
+    fn mean_at(series: &WindowedSeries, ms: u64) -> f64 {
+        series
+            .window_at(SimTime::from_millis(ms))
+            .and_then(|w| w.mean())
+            .unwrap()
+    }
+
     #[test]
     fn cpu_sampling_differs_cumulative_counters() {
         let mut t = telemetry();
-        let interval = 50_000u64; // 50 ms in micros
-                                  // Slot 0 (apache 0), 2 cores: busy 25 ms of 100 core-ms → 25%.
-        t.sample_cpu(SimTime::from_millis(50), 0, 2, 25_000, 0, 2, 2);
-        let w = t.apache_util[0]
-            .window_at(SimTime::from_millis(49))
-            .unwrap();
-        assert!((w.mean().unwrap() - 0.25).abs() < 1e-9);
-        // Next window: cumulative 35 ms → delta 10 ms → 10%.
-        t.sample_cpu(SimTime::from_millis(100), 0, 2, 35_000, interval, 2, 2);
-        let w = t.apache_util[0]
-            .window_at(SimTime::from_millis(99))
-            .unwrap();
-        // 10ms busy + 50ms iowait over 100 core-ms = 0.6.
-        assert!((w.mean().unwrap() - 0.6).abs() < 1e-9);
-        let io = t.apache_iowait[0]
-            .window_at(SimTime::from_millis(99))
-            .unwrap();
-        assert!((io.mean().unwrap() - 0.5).abs() < 1e-9);
+        let mut servers = [cpu(0, 0); 5];
+        // Slot 0 (apache 0), 2 cores: busy 25 ms of 100 core-ms → 25%.
+        servers[0] = ServerSample {
+            cores: 2,
+            ..cpu(25_000, 0)
+        };
+        tick(&mut t, 50, &servers);
+        assert!((mean_at(&t.apache_util[0], 49) - 0.25).abs() < 1e-9);
+        // Next window: cumulative 35 ms busy → delta 10 ms, plus 50 ms
+        // of iowait: 60 of 100 core-ms.
+        servers[0].busy_us = 35_000;
+        servers[0].iowait_us = 50_000;
+        tick(&mut t, 100, &servers);
+        assert!((mean_at(&t.apache_util[0], 99) - 0.6).abs() < 1e-9);
+        assert!((mean_at(&t.apache_iowait[0], 99) - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn cpu_sampling_routes_to_correct_tier() {
         let mut t = telemetry();
-        t.sample_cpu(SimTime::from_millis(50), 2, 4, 200_000, 0, 2, 2); // tomcat 0 @ 100%
-        let w = t.tomcat_util[0]
-            .window_at(SimTime::from_millis(49))
-            .unwrap();
-        assert!((w.mean().unwrap() - 1.0).abs() < 1e-9);
-        t.sample_cpu(SimTime::from_millis(50), 4, 4, 100_000, 0, 2, 2); // mysql @ 50%
-        let w = t.mysql_util.window_at(SimTime::from_millis(49)).unwrap();
-        assert!((w.mean().unwrap() - 0.5).abs() < 1e-9);
+        let mut servers = [cpu(0, 0); 5];
+        servers[2] = cpu(200_000, 0); // tomcat 0 @ 100%
+        servers[2].queue = 7;
+        servers[2].dirty_bytes = 4_096;
+        servers[4] = cpu(100_000, 0); // mysql @ 50%
+        servers[4].queue = 2;
+        tick(&mut t, 50, &servers);
+        assert!((mean_at(&t.tomcat_util[0], 49) - 1.0).abs() < 1e-9);
+        assert_eq!(mean_at(&t.tomcat_queues[0], 49), 7.0);
+        assert_eq!(mean_at(&t.tomcat_dirty[0], 49), 4_096.0);
+        assert!((mean_at(&t.mysql_util, 49) - 0.5).abs() < 1e-9);
+        assert_eq!(mean_at(&t.mysql_queue, 49), 2.0);
+        assert_eq!(mean_at(&t.apache_util[0], 49), 0.0);
+        assert_eq!(mean_at(&t.lb_values[1], 49), 4.0);
+    }
+
+    #[test]
+    fn one_snapshot_feeds_series_registry_and_detector() {
+        let mut t = Telemetry::new(1, 1, SimDuration::from_millis(50))
+            .with_metrics(&MetricsConfig::enabled_default());
+        // Tomcat1 (slot 1), 2 cores. Window 0: 30 ms of iowait, no busy
+        // time, a queue: frozen.
+        let mut servers = [cpu(0, 0); 3];
+        servers[1] = ServerSample {
+            busy_us: 0,
+            iowait_us: 30_000,
+            cores: 2,
+            queue: 5,
+            dirty_bytes: 1_000,
+        };
+        tick(&mut t, 50, &servers);
+        assert_eq!(t.drain_stalled_tomcats(), Some(vec![true]));
+        // Window 1: thawed (iowait delta 0), dirty dropped (flush done).
+        servers[1].busy_us = 20_000;
+        servers[1].queue = 0;
+        servers[1].dirty_bytes = 100;
+        tick(&mut t, 100, &servers);
+        assert_eq!(t.drain_stalled_tomcats(), Some(vec![false]));
+
+        // The series: 30 000 of 100 000 core-µs, then nothing.
+        assert!((mean_at(&t.tomcat_iowait[0], 49) - 0.3).abs() < 1e-9);
+        assert_eq!(mean_at(&t.tomcat_iowait[0], 99), 0.0);
+        let detector = t.detector().unwrap();
+        assert_eq!(detector.frozen_windows(1), vec![0]);
+        let (_, report) = t.into_parts();
+        let report = report.unwrap();
+        // The detector: one window-aligned flush stall over window 0.
+        assert_eq!(report.stalls.len(), 1);
+        assert_eq!(report.stalls[0].server, "tomcat1");
+        assert_eq!(report.stalls[0].kind, StallKind::Flush);
+        assert_eq!(report.stalls[0].end, SimTime::from_millis(50));
+        // The registry gauge: the same deltas, at each tick.
+        for (start_us, delta) in [(50_000, 30_000), (100_000, 0)] {
+            let line = format!(
+                "\"start_us\":{start_us},\"metric\":\"tomcat1.iowait_us\",\"kind\":\"gauge\",\
+                 \"count\":1,\"sum\":{delta},"
+            );
+            assert!(report.jsonl.contains(&line), "missing {line}");
+        }
     }
 
     #[test]

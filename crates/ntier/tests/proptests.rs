@@ -5,7 +5,8 @@
 use mlb_core::{BalancerConfig, MechanismKind, PolicyKind};
 use mlb_netmodel::link::Link;
 use mlb_ntier::config::SystemConfig;
-use mlb_ntier::experiment::run_experiment;
+use mlb_ntier::experiment::{run_experiment, ExperimentResult};
+use mlb_ntier::system::NTierSystem;
 use mlb_osmodel::machine::{GcConfig, MachineConfig};
 use mlb_osmodel::pagecache::PageCacheConfig;
 use mlb_simkernel::time::SimDuration;
@@ -115,6 +116,103 @@ fn build(f: &FuzzConfig) -> SystemConfig {
     }
     cfg.duration = SimDuration::from_secs(3);
     cfg
+}
+
+/// One machine for the `validate` fuzz: zero cores, zero disk bandwidth,
+/// page-cache thresholds in either order and GC pauses longer than their
+/// period are all drawn on purpose.
+fn machine_strategy() -> impl Strategy<Value = MachineConfig> {
+    (
+        (
+            0usize..5,
+            proptest::sample::select(vec![0u64, 1 << 20, 10 << 20, 100 << 20]),
+        ),
+        (any::<bool>(), 0u64..(1 << 20), 0u64..(4 << 20), 0u64..3_000),
+        (any::<bool>(), 0u64..3_000, 0u64..600),
+    )
+        .prop_map(
+            |(
+                (cores, disk_write_bandwidth),
+                (pc, background, hard, flush_ms),
+                (gc, period_ms, pause_ms),
+            )| {
+                MachineConfig {
+                    cores,
+                    disk_write_bandwidth,
+                    page_cache: pc.then_some(PageCacheConfig {
+                        dirty_background_bytes: background,
+                        dirty_hard_limit_bytes: hard,
+                        flush_interval: SimDuration::from_millis(flush_ms),
+                    }),
+                    gc: gc.then_some(GcConfig {
+                        period: SimDuration::from_millis(period_ms),
+                        pause: SimDuration::from_millis(pause_ms),
+                    }),
+                }
+            },
+        )
+}
+
+/// A `smoke`-derived config with small, bounded, possibly invalid fields.
+fn validate_fuzz_strategy() -> impl Strategy<Value = SystemConfig> {
+    (
+        (
+            1usize..4,
+            1usize..4,
+            policy_strategy(),
+            mechanism_strategy(),
+            any::<u64>(),
+        ),
+        (0usize..9, 0usize..9, 0usize..9, 0usize..9, 0usize..9),
+        (machine_strategy(), machine_strategy(), machine_strategy()),
+    )
+        .prop_map(
+            |(
+                (apaches, tomcats, policy, mechanism, seed),
+                (workers, threads, accept_q, pool, db_pool),
+                (apache_machine, tomcat_machine, mysql_machine),
+            )| {
+                let mut cfg = SystemConfig::smoke(BalancerConfig::with(policy, mechanism));
+                cfg.apaches = apaches;
+                cfg.tomcats = tomcats;
+                cfg.apache_workers = workers;
+                cfg.tomcat_threads = threads;
+                cfg.apache_accept_queue = accept_q;
+                cfg.pool_size = pool;
+                cfg.db_pool_per_tomcat = db_pool;
+                cfg.apache_machine = apache_machine;
+                cfg.tomcat_machine = tomcat_machine;
+                cfg.mysql_machine = mysql_machine;
+                cfg.population = ClientPopulation::new(60, SimDuration::from_millis(400), apaches);
+                cfg.seed = seed;
+                cfg.duration = SimDuration::from_secs(1);
+                cfg
+            },
+        )
+}
+
+/// issued = completed + failed + in flight.
+fn conserves_requests(r: &ExperimentResult) -> bool {
+    r.requests_issued
+        == r.telemetry.response.total() + r.telemetry.failed_requests + r.inflight_at_end as u64
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `SystemConfig::validate` is the only gate: a config it accepts
+    /// runs to its horizon without a panic and conserves requests, and
+    /// one it rejects makes `NTierSystem::new` return `Err`, not panic.
+    #[test]
+    fn validate_accepts_exactly_the_configs_that_run(cfg in validate_fuzz_strategy()) {
+        match cfg.validate() {
+            Ok(()) => {
+                let r = run_experiment(cfg.clone()).expect("a validated config builds");
+                prop_assert!(conserves_requests(&r), "{:?}", cfg);
+            }
+            Err(_) => prop_assert!(NTierSystem::new(cfg).is_err()),
+        }
+    }
 }
 
 proptest! {

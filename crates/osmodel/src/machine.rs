@@ -92,6 +92,28 @@ pub struct MachineConfig {
 }
 
 impl MachineConfig {
+    /// Validates internal consistency, the page-cache and GC configs
+    /// included.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.cores == 0 {
+            return Err("cores must be positive".into());
+        }
+        if self.disk_write_bandwidth == 0 {
+            return Err("disk_write_bandwidth must be positive".into());
+        }
+        if let Some(pc) = &self.page_cache {
+            pc.validate().map_err(|e| format!("page_cache: {e}"))?;
+        }
+        if let Some(gc) = &self.gc {
+            gc.validate().map_err(|e| format!("gc: {e}"))?;
+        }
+        Ok(())
+    }
+
     /// The paper's d710 node with write-back enabled at testbed defaults.
     pub fn d710() -> Self {
         MachineConfig {
@@ -158,13 +180,10 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if `cores` is zero, the disk bandwidth is zero, or the page
-    /// cache config is invalid.
+    /// Panics if [`MachineConfig::validate`] rejects `config`.
     pub fn new(config: MachineConfig) -> Self {
-        if let Some(gc) = &config.gc {
-            if let Err(msg) = gc.validate() {
-                panic!("invalid GcConfig: {msg}");
-            }
+        if let Err(msg) = config.validate() {
+            panic!("invalid MachineConfig: {msg}");
         }
         Machine {
             cpu: CpuModel::new(config.cores),

@@ -17,7 +17,7 @@
 use mlb_core::{BalancerConfig, MechanismKind, PolicyKind};
 use mlb_metrics::registry::JsonlSink;
 use mlb_ntier::config::SystemConfig;
-use mlb_ntier::metrics::MetricsConfig;
+use mlb_ntier::metrics::{MetricsConfig, REGISTRY_WINDOW};
 use mlb_ntier::system::NTierSystem;
 use mlb_ntier::trace::TraceConfig;
 use mlb_simkernel::time::{SimDuration, SimTime};
@@ -43,7 +43,7 @@ fn main() {
     println!(
         "running {secs}s of Original total_request with the {} ms registry \
          and the online detector...\n",
-        cfg.metrics.window.as_micros() / 1_000
+        REGISTRY_WINDOW.as_micros() / 1_000
     );
 
     let mut sim = NTierSystem::build_simulation(cfg).expect("preset config is valid");

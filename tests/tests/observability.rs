@@ -212,6 +212,34 @@ fn observability_does_not_perturb_the_run() {
     );
 }
 
+#[test]
+fn metrics_leave_every_telemetry_series_unchanged() {
+    // The registry and detector ride inside `Telemetry` and read its
+    // monitor snapshots; turning them on must not move a single figure
+    // series, histogram bucket or total. The Debug rendering covers
+    // every field (f64s print round-trip exact).
+    let run = |metrics: MetricsConfig| {
+        let mut cfg = SystemConfig::smoke(BalancerConfig::with(
+            PolicyKind::TotalRequest,
+            MechanismKind::Original,
+        ));
+        cfg.seed = 7;
+        cfg.duration = SimDuration::from_secs(4);
+        cfg.metrics = metrics;
+        run_experiment(cfg).expect("smoke config is valid")
+    };
+    let off = run(MetricsConfig::disabled());
+    let on = run(MetricsConfig::enabled_default());
+    assert!(off.metrics.is_none());
+    assert!(on.metrics.is_some());
+    assert!(off.telemetry.millibottlenecks > 0, "scenario too quiet");
+    assert!(off.telemetry.drops > 0, "scenario too quiet");
+    assert_eq!(
+        format!("{:?}", on.telemetry),
+        format!("{:?}", off.telemetry)
+    );
+}
+
 mod sampling_subset {
     use super::*;
     use proptest::prelude::*;

@@ -27,6 +27,16 @@ fn workspace_is_simlint_clean() {
         "suspiciously few files scanned ({}); workspace discovery regressed?",
         report.files_scanned.len()
     );
+    // Symbols whose same-named definitions have conflicting arities are
+    // dropped from the interprocedural summaries, so taint and writes
+    // through them go unseen. The count may only fall.
+    assert!(
+        report.dropped_symbols <= 16,
+        "simlint now drops {} symbols with conflicting arities (ceiling 16): \
+         rename the new same-named function or resolve the conflict, \
+         rather than raising the ceiling",
+        report.dropped_symbols
+    );
 }
 
 /// The tier-1 gate must stay cheap enough to run on every `cargo test`:
