@@ -2,7 +2,8 @@
 //!
 //! Runs `paper_4x4` (`current_load` + `skip_to_busy`) with every tier
 //! multiplied at 1×/4×/16×/64× under both event-queue backends and writes
-//! `BENCH_kernel.json` at the workspace root (CI archives it per commit).
+//! `BENCH_kernel.json` at the workspace root (`target/BENCH_kernel.json`
+//! for the smoke sweep, which CI archives per commit).
 //! Gates:
 //!
 //! * **exact counters (smoke)** — every seed's deterministic work
@@ -27,6 +28,9 @@
 //!   never exceeds what the peak bucket population can need, request
 //!   growth never exceeds peak liveness.
 //!
+//! The last two are [`gate_every_scale`], unit-tested on synthetic
+//! reports in `mlb_bench::scaling`.
+//!
 //! Every run also checks request conservation and that the two backends
 //! agree on every model counter. Wall-clock numbers are side-by-side
 //! ratios only; cross-commit wall-clock comparisons are perfbench's.
@@ -35,92 +39,21 @@
 //! horizon for CI; the speedup floors relax (CI-sized populations are
 //! too small for the asymptotic win) but the no-inversion and
 //! steady-state gates run at every scale in both modes.
+//!
+//! A plain `harness = false` main: `cargo bench` passes `--bench`, which
+//! it ignores; any failed gate panics with its message.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use mlb_bench::history::write_artifact;
-use mlb_bench::scaling::{counter_mismatches, counter_table, SMOKE_COUNTERS};
-use mlb_bench::{run_scale_sweep, BenchMeta, HoldDist, ScaleSweepConfig, ScaleSweepReport};
+use mlb_bench::scaling::{counter_mismatches, counter_table, gate_every_scale, SMOKE_COUNTERS};
+use mlb_bench::{run_scale_sweep, BenchMeta, HoldDist, ScaleSweepConfig};
 
 /// Kernel acceptance bar: wheel-over-heap queue ops/sec in the hold
 /// churn at the 16× pending-set size.
 const HOLD_SPEEDUP_FLOOR_AT_16X: f64 = 3.0;
 /// Full-system acceptance bar: end-to-end events/sec at 16×.
 const SYSTEM_SPEEDUP_FLOOR_AT_16X: f64 = 1.5;
-/// Every-scale acceptance bar: the wheel may never fall below ~parity
-/// with the heap (small slack absorbs host timing noise at the cheap
-/// scales; an inversion like the 0.25× collapse is far outside it).
-const SPEEDUP_FLOOR_EVERYWHERE: f64 = 0.8;
-/// Steady-state bar: second-half fresh allocations as a fraction of all
-/// inserts on the same arena. Arena growth tracks peak liveness, not
-/// insert volume — a broken free list allocates per insert (~50% of it
-/// in the second half), a healthy one shows only stochastic creep of
-/// the liveness peak, orders of magnitude below this ceiling. Applied
-/// to the wheel's bucket chunks and the request arena at every scale.
-const SECOND_HALF_ALLOC_FRACTION_CEILING: f64 = 0.01;
 
-/// The no-inversion and allocation-free gates, applied at every measured
-/// scale in both smoke and full mode.
-fn gate_every_scale(report: &ScaleSweepReport) {
-    for &scale in &report.config.scales {
-        let s = report.speedup_at(scale).expect("both backends measured");
-        assert!(
-            s >= SPEEDUP_FLOOR_EVERYWHERE,
-            "wheel/heap inversion at {scale}x: {s:.2}x end-to-end — the 64x blind spot is back"
-        );
-        let p = report.point(scale).expect("scale measured");
-        // Both arenas stop growing after warmup at EVERY scale. Think
-        // timers for the whole client population go live in the first
-        // instants of the run, so bucket liveness peaks early and the
-        // chunk free list serves everything after; in-flight requests
-        // plateau once the system reaches its operating point. (The heap
-        // runs' request arenas match the wheel's: every run checks it.)
-        for (what, fresh, inserts) in [
-            (
-                "wheel chunks",
-                p.sum(|r| r.second_half_chunk_allocs),
-                p.sum(|r| r.counters.chunk_allocs + r.counters.chunk_reuses),
-            ),
-            (
-                "request arena",
-                p.sum(|r| r.second_half_arena_allocs),
-                p.sum(|r| r.counters.arena_allocs + r.counters.arena_reuses),
-            ),
-        ] {
-            let frac = fresh as f64 / inserts.max(1) as f64;
-            assert!(
-                frac <= SECOND_HALF_ALLOC_FRACTION_CEILING,
-                "{what} still growing at {scale}x: {fresh} fresh allocations in the \
-                 second half of {inserts} inserts ({:.3}%)",
-                frac * 100.0
-            );
-        }
-        // Structural recycling bounds: fresh request slots never exceed
-        // peak liveness in any run, and fresh chunks never exceed what the
-        // peak bucket population can need (a broken free list allocates
-        // per insert, orders of magnitude past both).
-        for r in &p.runs {
-            let c = &r.counters;
-            assert!(
-                c.arena_allocs <= c.arena_peak_live.max(1),
-                "request arena grew past peak liveness at {scale}x seed {}: \
-                 {} allocs vs a peak of {}",
-                r.seed,
-                c.arena_allocs,
-                c.arena_peak_live
-            );
-            assert!(
-                c.chunk_allocs <= r.chunk_allocs_ceiling,
-                "wheel chunks grew past what peak liveness needs at {scale}x seed {}: \
-                 {} allocs vs a ceiling of {}",
-                r.seed,
-                c.chunk_allocs,
-                r.chunk_allocs_ceiling,
-            );
-        }
-    }
-}
-
-fn scale_sweep_gate(_c: &mut Criterion) {
+fn main() {
     let smoke = std::env::var("MLB_SCALE_SWEEP").as_deref() == Ok("smoke");
     let cfg = if smoke {
         ScaleSweepConfig::smoke()
@@ -135,7 +68,11 @@ fn scale_sweep_gate(_c: &mut Criterion) {
         cfg.seeds
     );
     let report = run_scale_sweep(&cfg);
-    write_artifact("BENCH_kernel.json", &report.to_json(&BenchMeta::capture()));
+    write_artifact(
+        "BENCH_kernel.json",
+        &report.to_json(&BenchMeta::capture()),
+        smoke,
+    );
     // The exact gate first: it is noise-free and names the cells that
     // moved, where a wall-clock gate could only say something slowed.
     if smoke {
@@ -170,7 +107,9 @@ fn scale_sweep_gate(_c: &mut Criterion) {
              {hold:.2}x hold, {bimodal:.2}x hold-bimodal"
         );
     }
-    gate_every_scale(&report);
+    if let Err(failure) = gate_every_scale(&report) {
+        panic!("{failure}");
+    }
     if smoke {
         let h = report
             .hold_speedup_at(1, HoldDist::Uniform)
@@ -201,6 +140,3 @@ fn scale_sweep_gate(_c: &mut Criterion) {
         );
     }
 }
-
-criterion_group!(benches, scale_sweep_gate);
-criterion_main!(benches);

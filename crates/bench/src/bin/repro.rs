@@ -69,7 +69,7 @@ fn parse_args() -> Result<Args, String> {
                      --prof: print the kernel profile of each shared fig/table run and \
                      write it to DIR/prof_<run>.jsonl\n\
                      tournament: policy × scenario scorecard, writes BENCH_policies.json \
-                     (MLB_TOURNAMENT=smoke for the CI-sized roster sweep)"
+                     (MLB_TOURNAMENT=smoke for the CI-sized roster sweep, written to target/)"
                 );
                 std::process::exit(0);
             }
@@ -200,7 +200,8 @@ fn main() -> ExitCode {
             );
             build_trace(args.secs)
         } else if id == "tournament" {
-            let cfg = if std::env::var("MLB_TOURNAMENT").as_deref() == Ok("smoke") {
+            let smoke = std::env::var("MLB_TOURNAMENT").as_deref() == Ok("smoke");
+            let cfg = if smoke {
                 TournamentConfig::smoke()
             } else {
                 TournamentConfig::full()
@@ -209,7 +210,7 @@ fn main() -> ExitCode {
                 "running policy tournament ({}s per run, seeds {:?})...",
                 cfg.secs, cfg.seeds
             );
-            build_tournament(&cfg)
+            build_tournament(&cfg, smoke)
         } else {
             build(id, &cache)
         };

@@ -7,6 +7,7 @@
 //! perfbench's alternated parent/change pairs, not from these files.
 
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 
 /// Version of the `BENCH_*.json` header format.
 pub const SCHEMA_VERSION: u32 = 1;
@@ -72,19 +73,33 @@ impl BenchMeta {
     }
 }
 
-/// Writes a `BENCH_*.json` artifact at the workspace root.
+/// Where a `BENCH_*.json` artifact goes: the workspace root for a full
+/// run (the committed per-commit snapshot), `target/` for a smoke run so
+/// CI-sized numbers never overwrite the committed file.
+fn artifact_path(root: &Path, file_name: &str, smoke: bool) -> PathBuf {
+    if smoke {
+        root.join("target").join(file_name)
+    } else {
+        root.join(file_name)
+    }
+}
+
+/// Writes a `BENCH_*.json` artifact under the workspace root: at the
+/// root itself, or in `target/` when `smoke` is set.
 ///
 /// # Panics
 ///
 /// Panics if the file cannot be written.
-pub fn write_artifact(file_name: &str, json: &str) {
+pub fn write_artifact(file_name: &str, json: &str, smoke: bool) {
     // Bin and bench cwd varies; anchor on the compile-time package dir.
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .canonicalize()
-        .expect("workspace root exists")
-        .join(file_name);
-    std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+        .expect("workspace root exists");
+    let path = artifact_path(&root, file_name, smoke);
+    std::fs::create_dir_all(path.parent().expect("artifact path has a parent"))
+        .and_then(|()| std::fs::write(&path, json))
+        .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
     eprintln!("  wrote {}", path.display());
 }
 
@@ -115,6 +130,15 @@ mod tests {
         assert!(header.contains("\"schema_version\": 1,"));
         assert!(header.contains("\"commit\": \"deadbeef\","));
         assert!(header.contains("\"host\": \"linux-x86_64-8cpu\","));
+    }
+
+    #[test]
+    fn smoke_artifacts_land_under_target() {
+        let root = Path::new("/ws");
+        let full = artifact_path(root, "BENCH_kernel.json", false);
+        assert_eq!(full, root.join("BENCH_kernel.json"));
+        let smoke = artifact_path(root, "BENCH_kernel.json", true);
+        assert_eq!(smoke, root.join("target/BENCH_kernel.json"));
     }
 
     #[test]

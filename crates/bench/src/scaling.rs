@@ -754,6 +754,86 @@ pub fn counter_mismatches(
     Ok(mismatches)
 }
 
+/// Every-scale acceptance bar: the wheel may never fall below ~parity
+/// with the heap (small slack absorbs host timing noise at the cheap
+/// scales; an inversion like the 0.25× collapse is far outside it).
+const SPEEDUP_FLOOR_EVERYWHERE: f64 = 0.8;
+/// Steady-state bar: second-half fresh allocations as a fraction of all
+/// inserts on the same arena. Arena growth tracks peak liveness, not
+/// insert volume — a broken free list allocates per insert (~50% of it
+/// in the second half), a healthy one shows only stochastic creep of
+/// the liveness peak, orders of magnitude below this ceiling. Applied
+/// to the wheel's bucket chunks and the request arena at every scale.
+const SECOND_HALF_ALLOC_FRACTION_CEILING: f64 = 0.01;
+
+/// The no-inversion and allocation-free gates, applied at every measured
+/// scale in both smoke and full mode.
+///
+/// # Errors
+///
+/// Returns the first failed gate's message.
+pub fn gate_every_scale(report: &ScaleSweepReport) -> Result<(), String> {
+    for &scale in &report.config.scales {
+        let (Some(s), Some(p)) = (report.speedup_at(scale), report.point(scale)) else {
+            return Err(format!("{scale}x was not measured on both backends"));
+        };
+        if s < SPEEDUP_FLOOR_EVERYWHERE {
+            return Err(format!(
+                "wheel/heap inversion at {scale}x: {s:.2}x end-to-end — the 64x blind spot is back"
+            ));
+        }
+        // Both arenas stop growing after warmup at EVERY scale. Think
+        // timers for the whole client population go live in the first
+        // instants of the run, so bucket liveness peaks early and the
+        // chunk free list serves everything after; in-flight requests
+        // plateau once the system reaches its operating point. (The heap
+        // runs' request arenas match the wheel's: every run checks it.)
+        for (what, fresh, inserts) in [
+            (
+                "wheel chunks",
+                p.sum(|r| r.second_half_chunk_allocs),
+                p.sum(|r| r.counters.chunk_allocs + r.counters.chunk_reuses),
+            ),
+            (
+                "request arena",
+                p.sum(|r| r.second_half_arena_allocs),
+                p.sum(|r| r.counters.arena_allocs + r.counters.arena_reuses),
+            ),
+        ] {
+            let frac = fresh as f64 / inserts.max(1) as f64;
+            if frac > SECOND_HALF_ALLOC_FRACTION_CEILING {
+                return Err(format!(
+                    "{what} still growing at {scale}x: {fresh} fresh allocations in the \
+                     second half of {inserts} inserts ({:.3}%)",
+                    frac * 100.0
+                ));
+            }
+        }
+        // Structural recycling bounds: fresh request slots never exceed
+        // peak liveness in any run, and fresh chunks never exceed what the
+        // peak bucket population can need (a broken free list allocates
+        // per insert, orders of magnitude past both).
+        for r in &p.runs {
+            let c = &r.counters;
+            if c.arena_allocs > c.arena_peak_live.max(1) {
+                return Err(format!(
+                    "request arena grew past peak liveness at {scale}x seed {}: \
+                     {} allocs vs a peak of {}",
+                    r.seed, c.arena_allocs, c.arena_peak_live
+                ));
+            }
+            if c.chunk_allocs > r.chunk_allocs_ceiling {
+                return Err(format!(
+                    "wheel chunks grew past what peak liveness needs at {scale}x seed {}: \
+                     {} allocs vs a ceiling of {}",
+                    r.seed, c.chunk_allocs, r.chunk_allocs_ceiling,
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -778,6 +858,9 @@ mod tests {
                 issued: events + 1,
                 completed: events,
                 chunk_reuses: 3 * events,
+                arena_allocs: 50,
+                arena_reuses: 1_000 * events,
+                arena_peak_live: 50,
                 peak_queue: 74,
                 ..RunCounters::default()
             },
@@ -866,6 +949,29 @@ mod tests {
         // A table with a different column set is rejected outright.
         let renamed = table.replace("peak_queue", "peak_pending");
         assert!(counter_mismatches(&renamed, &rows).is_err());
+    }
+
+    #[test]
+    fn steady_state_gate_catches_a_free_list_that_never_recycles() {
+        assert_eq!(gate_every_scale(&tiny_report()), Ok(()));
+        // A free list that never recycles allocates per insert: about
+        // half of all inserts land in the second half.
+        let (mut chunks, mut arena, mut past_peak) = (tiny_report(), tiny_report(), tiny_report());
+        for r in &mut chunks.points[0].runs {
+            r.second_half_chunk_allocs = r.counters.chunk_reuses / 2;
+        }
+        for r in &mut arena.points[0].runs {
+            r.second_half_arena_allocs = r.counters.arena_reuses / 2;
+        }
+        past_peak.points[0].runs[2].counters.arena_allocs = 51;
+        for (report, failure) in [
+            (chunks, "wheel chunks still growing at 1x"),
+            (arena, "request arena still growing at 1x"),
+            (past_peak, "request arena grew past peak liveness at 1x"),
+        ] {
+            let got = gate_every_scale(&report).unwrap_err();
+            assert!(got.starts_with(failure), "{got}");
+        }
     }
 
     #[test]

@@ -400,13 +400,14 @@ impl TournamentReport {
 }
 
 /// Builds the `tournament` repro artifact: runs the tournament, writes
-/// `BENCH_policies.json` at the workspace root, and packages the ASCII
-/// scorecard as terminal text.
-pub fn build_tournament(cfg: &TournamentConfig) -> crate::Figure {
+/// `BENCH_policies.json` (at the workspace root, or under `target/` for a
+/// `smoke` run), and packages the ASCII scorecard as terminal text.
+pub fn build_tournament(cfg: &TournamentConfig, smoke: bool) -> crate::Figure {
     let report = run_tournament(cfg);
     write_artifact(
         "BENCH_policies.json",
         &report.to_json(&BenchMeta::capture()),
+        smoke,
     );
     crate::Figure {
         id: "tournament",

@@ -46,11 +46,6 @@ impl Disk {
         }
     }
 
-    /// The configured write bandwidth in bytes per second.
-    pub fn write_bandwidth(&self) -> u64 {
-        self.write_bandwidth_bytes_per_sec
-    }
-
     /// How long writing `bytes` takes, without recording it.
     pub fn write_duration(&self, bytes: u64) -> SimDuration {
         // micros = bytes * 1e6 / bw, rounded up so a flush never takes zero

@@ -229,11 +229,6 @@ impl Machine {
         self.gc
     }
 
-    /// `true` while a stop-the-world GC pause is in progress.
-    pub fn is_collecting(&self) -> bool {
-        self.gc_in_progress
-    }
-
     /// Starts a stop-the-world GC pause: freezes the CPU. Returns `false`
     /// (and does nothing) if the machine is already stalled by a flush or
     /// another collection.
