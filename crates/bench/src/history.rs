@@ -28,16 +28,10 @@ pub struct BenchMeta {
 }
 
 impl BenchMeta {
-    /// Captures the current commit and host fingerprint.
+    /// Captures the workspace's commit (whatever the process's working
+    /// directory) and the host fingerprint.
     pub fn capture() -> Self {
-        let commit = std::process::Command::new("git")
-            .args(["rev-parse", "--short=12", "HEAD"])
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
-            .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| "unknown".to_owned());
+        let commit = commit_at(&workspace_root());
         let cpus = std::thread::available_parallelism().map_or(0, usize::from);
         BenchMeta {
             schema_version: SCHEMA_VERSION,
@@ -73,6 +67,26 @@ impl BenchMeta {
     }
 }
 
+/// The workspace root, anchored on the compile-time package dir because
+/// bin and bench working directories vary.
+fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// The short commit id checked out at `dir`, or `"unknown"` when `dir`
+/// is not inside a git repository (or git is missing).
+fn commit_at(dir: &Path) -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short=12", "HEAD"])
+        .current_dir(dir)
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_owned())
+}
+
 /// Where a `BENCH_*.json` artifact goes: the workspace root for a full
 /// run (the committed per-commit snapshot), `target/` for a smoke run so
 /// CI-sized numbers never overwrite the committed file.
@@ -91,9 +105,7 @@ fn artifact_path(root: &Path, file_name: &str, smoke: bool) -> PathBuf {
 ///
 /// Panics if the file cannot be written.
 pub fn write_artifact(file_name: &str, json: &str, smoke: bool) {
-    // Bin and bench cwd varies; anchor on the compile-time package dir.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
+    let root = workspace_root()
         .canonicalize()
         .expect("workspace root exists");
     let path = artifact_path(&root, file_name, smoke);
@@ -147,5 +159,11 @@ mod tests {
         assert_eq!(meta.schema_version, SCHEMA_VERSION);
         assert!(!meta.commit.is_empty());
         assert!(meta.host.contains(std::env::consts::ARCH));
+    }
+
+    #[test]
+    fn capture_reads_the_commit_of_the_workspace_root() {
+        assert_eq!(BenchMeta::capture().commit, commit_at(&workspace_root()));
+        assert_eq!(commit_at(&workspace_root().join("no such dir")), "unknown");
     }
 }

@@ -178,6 +178,20 @@ impl Segment {
         }
     }
 
+    /// The segment with the most µs in `segs` (breakdown order); the
+    /// first strict maximum wins ties, and all-zero reads as
+    /// [`Segment::RetransmitWait`].
+    pub fn dominant(segs: &[u64; 6]) -> Segment {
+        let (mut best, mut best_us) = (Segment::RetransmitWait, 0u64);
+        for s in Segment::ALL {
+            if segs[s.index()] > best_us {
+                best_us = segs[s.index()];
+                best = s;
+            }
+        }
+        best
+    }
+
     /// Index into a `[u64; 6]` segment array.
     pub fn index(self) -> usize {
         match self {
@@ -329,15 +343,7 @@ impl RequestTrace {
 
     /// The segment holding the largest share of the response time.
     pub fn dominant_segment(&self) -> Option<Segment> {
-        let segs = self.segments_us()?;
-        let (mut best, mut best_us) = (Segment::RetransmitWait, 0u64);
-        for s in Segment::ALL {
-            if segs[s.index()] > best_us {
-                best_us = segs[s.index()];
-                best = s;
-            }
-        }
-        Some(best)
+        self.segments_us().map(|segs| Segment::dominant(&segs))
     }
 
     /// Renders the timeline as human-readable lines, with offsets in
@@ -649,9 +655,7 @@ impl TraceLog {
         let Some(segments_us) = trace.segments_us() else {
             return;
         };
-        let dominant = trace
-            .dominant_segment()
-            .expect("segments_us implies a dominant segment");
+        let dominant = Segment::dominant(&segments_us);
         self.summary.dominant_counts[dominant.index()] += 1;
         // The stall that best explains this request: largest overlap with
         // its lifetime. Stalls are few (one per millibottleneck), so a
@@ -707,9 +711,14 @@ impl TraceLog {
             .collect()
     }
 
-    /// An order-sensitive FNV-1a digest of every retained trace, VLRT
-    /// attribution and stall window — two identical simulations must
-    /// produce identical digests.
+    /// An order-sensitive FNV-1a digest of the log: every event of every
+    /// trace the ring retains, then each retained VLRT chain's id,
+    /// dominant segment and segment split, then the stall windows, then
+    /// the VLRT/overlap counts and the completed/failed counts. Two
+    /// identical simulations produce identical digests. The ring part
+    /// covers only what the ring still holds, so a digest meant to pin a
+    /// whole run needs a ring larger than its completion count (check
+    /// `recent().count() == completed + failed`).
     pub fn digest(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut mix = |v: u64| {
@@ -903,6 +912,19 @@ mod tests {
         assert_eq!(segs[Segment::Routing.index()], 102_000);
         assert_eq!(segs.iter().sum::<u64>(), 121_000);
         assert_eq!(tr.served_by(), Some(1));
+    }
+
+    #[test]
+    fn dominant_takes_the_first_strict_maximum() {
+        assert_eq!(Segment::dominant(&[0; 6]), Segment::RetransmitWait);
+        assert_eq!(
+            Segment::dominant(&[1, 5, 5, 0, 5, 0]),
+            Segment::ApacheAdmission
+        );
+        assert_eq!(Segment::dominant(&[0, 0, 0, 0, 1, 1]), Segment::Backend);
+        let tr = dropped_then_served();
+        let segs = tr.segments_us().unwrap();
+        assert_eq!(tr.dominant_segment(), Some(Segment::dominant(&segs)));
     }
 
     #[test]

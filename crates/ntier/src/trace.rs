@@ -55,20 +55,25 @@ impl TraceConfig {
         }
     }
 
-    /// Tracing on with bounds suitable for the paper-scale runs: every
-    /// completed trace of a smoke run is retained, and enough VLRT
-    /// chains for any figure.
+    /// Tracing on, bounded by what the in-repo readers use: the VLRT
+    /// chains, the stall windows and the attribution summary, all kept
+    /// in full (up to 4 096 chains, enough for any figure). The ring of
+    /// recent traces holds the last 4 096, so tracer memory follows the
+    /// in-flight population rather than the horizon, and once the ring
+    /// is warm each new trace reuses an evicted trace's event buffer.
+    /// Tests that hash or walk every trace set `recent_capacity` above
+    /// the run's completion count.
     pub fn enabled_default() -> Self {
         TraceConfig {
             enabled: true,
-            recent_capacity: 1 << 20,
+            recent_capacity: 4_096,
             vlrt_capacity: 4_096,
             sample_every: 1,
         }
     }
 
-    /// Full tracing of every `every`-th request (production-scale runs
-    /// where retaining every trace would be too heavy).
+    /// Tracing of every `every`-th request, with the
+    /// [`enabled_default`](Self::enabled_default) bounds.
     pub fn sampled(every: u64) -> Self {
         TraceConfig {
             sample_every: every,

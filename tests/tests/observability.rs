@@ -13,11 +13,20 @@ use mlb_osmodel::machine::GcConfig;
 use mlb_osmodel::pagecache::PageCacheConfig;
 use mlb_simkernel::time::{SimDuration, SimTime};
 
+/// Tracing that keeps every trace in the ring, so a digest hashes the
+/// whole run and the subset check sees every id.
+fn full_retention() -> TraceConfig {
+    TraceConfig {
+        recent_capacity: 1 << 20,
+        ..TraceConfig::enabled_default()
+    }
+}
+
 fn observed(policy: PolicyKind, mech: MechanismKind, seed: u64) -> ExperimentResult {
     let mut cfg = SystemConfig::smoke(BalancerConfig::with(policy, mech));
     cfg.seed = seed;
     cfg.metrics = MetricsConfig::enabled_default();
-    cfg.trace = TraceConfig::enabled_default();
+    cfg.trace = full_retention();
     run_experiment(cfg).expect("smoke config is valid")
 }
 
@@ -199,8 +208,10 @@ fn observability_does_not_perturb_the_run() {
     }
     // Same golden digest as reproducibility.rs pins for a bare traced
     // run: the registry observed without perturbing.
+    let log = full.trace.as_ref().unwrap();
+    assert_eq!(log.recent().count() as u64, log.completed + log.failed);
     assert_eq!(
-        full.trace.as_ref().unwrap().digest(),
+        log.digest(),
         0x65f93bed2ae175cb,
         "metrics-on trace digest drifted from the untraced golden value"
     );
@@ -251,7 +262,10 @@ mod sampling_subset {
             MechanismKind::Original,
         ));
         cfg.seed = 7;
-        cfg.trace = TraceConfig::sampled(sample_every);
+        cfg.trace = TraceConfig {
+            sample_every,
+            ..full_retention()
+        };
         run_experiment(cfg).expect("smoke config is valid")
     }
 
@@ -260,14 +274,16 @@ mod sampling_subset {
 
         #[test]
         fn sampled_traces_are_a_subset_of_full_traces(every in 2u64..=9) {
-            // The full-trace run retains every completed trace (the
-            // smoke ring is far larger than the completion count), so
-            // the sampled run's traces must be exactly the divisible
-            // ids — event for event.
+            // Both runs retain every finished trace (the ring is far
+            // larger than the completion count), so the sampled run's
+            // traces must be exactly the divisible ids — event for event.
             let full = traced_run(1);
             let sampled = traced_run(every);
             let full_log = full.trace.as_ref().unwrap();
             let sampled_log = sampled.trace.as_ref().unwrap();
+            for log in [full_log, sampled_log] {
+                prop_assert_eq!(log.recent().count() as u64, log.completed + log.failed);
+            }
             let full_by_id: BTreeMap<u64, _> =
                 full_log.recent().map(|t| (t.id, &t.events)).collect();
             let expected: Vec<u64> = full_by_id

@@ -24,6 +24,15 @@ fn smoke(seed: u64) -> SystemConfig {
     cfg
 }
 
+/// Tracing that keeps every trace in the ring, so a digest hashes the
+/// whole run rather than its last 4 096 requests.
+fn full_retention() -> TraceConfig {
+    TraceConfig {
+        recent_capacity: 1 << 20,
+        ..TraceConfig::enabled_default()
+    }
+}
+
 fn run(cfg: SystemConfig) -> ExperimentResult {
     run_experiment(cfg).expect("smoke config is valid")
 }
@@ -39,10 +48,11 @@ fn profiled_runs_match_the_unprofiled_golden_digests() {
         (42, 0x0b12e81742847ad2, 15_692, 767),
     ] {
         let mut cfg = smoke(seed);
-        cfg.trace = TraceConfig::enabled_default();
+        cfg.trace = full_retention();
         cfg.prof = true;
         let r = run(cfg);
         let log = r.trace.expect("tracing was enabled");
+        assert_eq!(log.recent().count() as u64, log.completed + log.failed);
         assert_eq!(
             log.digest(),
             digest,

@@ -2,10 +2,30 @@
 //! in a DES is that every run is bit-for-bit reproducible.
 
 use mlb_core::{BalancerConfig, MechanismKind, PolicyKind};
+use mlb_metrics::spans::TraceLog;
 use mlb_ntier::config::SystemConfig;
 use mlb_ntier::experiment::{run_experiment, ExperimentResult};
 use mlb_ntier::trace::TraceConfig;
 use mlb_simkernel::queue::QueueKind;
+
+/// Tracing that keeps every trace in the ring, so a digest hashes the
+/// whole run rather than its last 4 096 requests.
+fn full_retention() -> TraceConfig {
+    TraceConfig {
+        recent_capacity: 1 << 20,
+        ..TraceConfig::enabled_default()
+    }
+}
+
+/// Fails if the ring evicted, so a golden digest never silently hashes
+/// a partial log.
+fn assert_retains_every_trace(log: &TraceLog) {
+    assert_eq!(
+        log.recent().count() as u64,
+        log.completed + log.failed,
+        "the trace ring evicted; the digest no longer covers the whole run"
+    );
+}
 
 fn smoke_with_seed(seed: u64) -> ExperimentResult {
     let mut cfg = SystemConfig::smoke(BalancerConfig::with(
@@ -56,7 +76,7 @@ fn traces_are_bit_identical_across_identical_seeds() {
             MechanismKind::Original,
         ));
         cfg.seed = seed;
-        cfg.trace = TraceConfig::enabled_default();
+        cfg.trace = full_retention();
         run_experiment(cfg)
             .expect("smoke config is valid")
             .trace
@@ -64,10 +84,13 @@ fn traces_are_bit_identical_across_identical_seeds() {
     };
     let a = traced(7);
     let b = traced(7);
+    assert_retains_every_trace(&a);
+    assert_retains_every_trace(&b);
     assert_eq!(a.completed, b.completed);
     assert_eq!(a.summary.vlrt_total, b.summary.vlrt_total);
     assert_eq!(a.digest(), b.digest(), "trace digests diverge across runs");
     let c = traced(8);
+    assert_retains_every_trace(&c);
     assert_ne!(
         a.digest(),
         c.digest(),
@@ -89,7 +112,7 @@ fn trace_digests_match_pre_btreemap_golden_values() {
             MechanismKind::Original,
         ));
         cfg.seed = seed;
-        cfg.trace = TraceConfig::enabled_default();
+        cfg.trace = full_retention();
         run_experiment(cfg)
             .expect("smoke config is valid")
             .trace
@@ -101,6 +124,7 @@ fn trace_digests_match_pre_btreemap_golden_values() {
         (42, 0x0b12e81742847ad2, 15_692, 767),
     ] {
         let log = traced(seed);
+        assert_retains_every_trace(&log);
         assert_eq!(
             log.digest(),
             digest,
@@ -128,7 +152,7 @@ fn ewma_family_digests_match_golden_values() {
     let traced = |kind: PolicyKind, seed: u64| {
         let mut cfg = SystemConfig::smoke(BalancerConfig::with(kind, MechanismKind::Original));
         cfg.seed = seed;
-        cfg.trace = TraceConfig::enabled_default();
+        cfg.trace = full_retention();
         run_experiment(cfg)
             .expect("smoke config is valid")
             .trace
@@ -161,6 +185,7 @@ fn ewma_family_digests_match_golden_values() {
         (PolicyKind::C3, 42, 0xbd5bf9c9492a7f43, 16_346, 0),
     ] {
         let log = traced(kind, seed);
+        assert_retains_every_trace(&log);
         assert_eq!(
             log.digest(),
             digest,
@@ -188,12 +213,14 @@ fn timer_wheel_and_heap_backends_are_digest_identical() {
         ));
         cfg.seed = 7;
         cfg.queue = kind;
-        cfg.trace = TraceConfig::enabled_default();
+        cfg.trace = full_retention();
         let r = run_experiment(cfg).expect("smoke config is valid");
         (r.events_processed, r.trace.expect("tracing was enabled"))
     };
     let (wheel_events, wheel) = traced(QueueKind::Wheel);
     let (heap_events, heap) = traced(QueueKind::Heap);
+    assert_retains_every_trace(&wheel);
+    assert_retains_every_trace(&heap);
     assert_eq!(wheel_events, heap_events, "event counts diverge");
     assert_eq!(wheel.completed, heap.completed);
     assert_eq!(

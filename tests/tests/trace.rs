@@ -8,18 +8,37 @@ use mlb_metrics::spans::{Segment, SpanKind};
 use mlb_ntier::config::SystemConfig;
 use mlb_ntier::experiment::{run_experiment, ExperimentResult};
 use mlb_ntier::trace::TraceConfig;
+use mlb_simkernel::time::SimDuration;
+
+/// Tracing that keeps every trace in the ring, for the checks that walk
+/// all of them.
+fn full_retention() -> TraceConfig {
+    TraceConfig {
+        recent_capacity: 1 << 20,
+        ..TraceConfig::enabled_default()
+    }
+}
+
+fn run_traced(trace: TraceConfig, policy: PolicyKind, mech: MechanismKind) -> ExperimentResult {
+    let mut cfg = SystemConfig::smoke(BalancerConfig::with(policy, mech));
+    cfg.trace = trace;
+    run_experiment(cfg).expect("smoke config is valid")
+}
 
 fn traced_smoke(policy: PolicyKind, mech: MechanismKind) -> ExperimentResult {
-    let mut cfg = SystemConfig::smoke(BalancerConfig::with(policy, mech));
-    cfg.trace = TraceConfig::enabled_default();
-    run_experiment(cfg).expect("smoke config is valid")
+    run_traced(TraceConfig::enabled_default(), policy, mech)
 }
 
 #[test]
 fn every_retained_trace_partitions_its_response_time() {
-    let r = traced_smoke(PolicyKind::TotalRequest, MechanismKind::Original);
+    let r = run_traced(
+        full_retention(),
+        PolicyKind::TotalRequest,
+        MechanismKind::Original,
+    );
     let log = r.trace.expect("tracing was enabled");
     assert!(log.completed > 1_000, "too few completed traces to check");
+    assert_eq!(log.recent().count() as u64, log.completed + log.failed);
     let pairs = log.segment_sum_pairs();
     assert!(!pairs.is_empty());
     for (sum_us, rt_us) in pairs {
@@ -36,8 +55,13 @@ fn trace_segment_totals_tie_out_against_phase_breakdown() {
     // telemetry derives the same six from the request's timestamp chain.
     // With a ring large enough to retain every completed trace, the two
     // accountings must agree to the microsecond.
-    let r = traced_smoke(PolicyKind::TotalRequest, MechanismKind::Original);
+    let r = run_traced(
+        full_retention(),
+        PolicyKind::TotalRequest,
+        MechanismKind::Original,
+    );
     let log = r.trace.expect("tracing was enabled");
+    assert_eq!(log.recent().count() as u64, log.completed + log.failed);
     let b = &r.telemetry.phase_breakdown;
     let mut totals = [0u64; 6];
     let mut counted = 0u64;
@@ -155,4 +179,45 @@ fn skip_to_busy_remedy_reduces_routing_dominated_vlrts() {
         f.summary.vlrt_total,
         o.summary.vlrt_total
     );
+}
+
+#[test]
+fn default_retention_is_bounded_whatever_the_horizon() {
+    // The default ring keeps the last 4 096 finished traces, however
+    // long the run; the VLRT chains stay capped, attribution still counts
+    // every VLRT, and the traced run replays the untraced one exactly.
+    let defaults = TraceConfig::enabled_default();
+    for secs in [10, 20] {
+        let run = |trace: TraceConfig| {
+            let mut cfg = SystemConfig::smoke(BalancerConfig::with(
+                PolicyKind::TotalRequest,
+                MechanismKind::Original,
+            ));
+            cfg.duration = SimDuration::from_secs(secs);
+            cfg.trace = trace;
+            run_experiment(cfg).expect("smoke config is valid")
+        };
+        let traced = run(defaults.clone());
+        let plain = run(TraceConfig::disabled());
+        let log = traced.trace.expect("tracing was enabled");
+        let finished = log.completed + log.failed;
+        assert!(
+            finished > defaults.recent_capacity as u64,
+            "{secs} s: {finished} finished requests do not fill the ring"
+        );
+        assert_eq!(
+            log.recent().count() as u64,
+            finished.min(defaults.recent_capacity as u64),
+            "{secs} s: ring size"
+        );
+        assert!(log.vlrt_causes().len() <= defaults.vlrt_capacity);
+        assert!(log.summary.vlrt_total > 0, "{secs} s: no VLRTs to count");
+        assert_eq!(
+            log.summary.vlrt_total,
+            plain.telemetry.response.vlrt_count(),
+            "{secs} s: attribution missed VLRTs"
+        );
+        assert_eq!(log.completed, plain.telemetry.response.total());
+        assert_eq!(traced.events_processed, plain.events_processed);
+    }
 }
