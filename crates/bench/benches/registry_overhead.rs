@@ -4,8 +4,10 @@
 //! on (registry + online detector) and prints the relative overhead. The
 //! registry hooks sit on the event-loop hot path (`sim.events` is bumped
 //! per handled event), so this is the honest worst case; the gate fails
-//! above a 25 % ceiling. Trace cost is perfbench's
-//! `bench.trace_overhead_ratio`.
+//! above a 25 % ceiling. The cost of the tracer and registry together is
+//! perfbench's `metrics.observer_overhead_pct` (`--trace 1`);
+//! perfbench's `bench.trace_overhead_ratio` is the kernel profiler's
+//! cost (profiled over unprofiled wall time), not the tracer's.
 //!
 //! A plain `harness = false` main: `cargo bench` passes `--bench`, which
 //! it ignores.

@@ -268,7 +268,14 @@ mod tests {
                 rt: SimDuration::from_millis(1_500),
             },
         );
-        log.record(tr, SimDuration::from_secs(1));
+        let segments = tr.segments_us();
+        log.record_completed(
+            at(0),
+            at(1_500),
+            segments,
+            Some(tr),
+            SimDuration::from_secs(1),
+        );
         let hm = AttributionHeatmap::from_trace_log(&log, window());
         assert_eq!(hm.chains(), 1);
         // Completed at 1.5 s → window 30.

@@ -10,10 +10,11 @@
 //! * [`RequestTrace`] — one request's ordered event timeline, from which
 //!   the six response-time segments of
 //!   `mlb_ntier`'s `PhaseBreakdown` can be re-derived per request;
-//! * [`TraceLog`] — a bounded ring of completed traces plus streaming
-//!   VLRT attribution: for every response above the VLRT threshold, which
-//!   segment dominated and which millibottleneck ([`StallWindow`]) the
-//!   request overlapped.
+//! * [`TraceLog`] — an optional bounded ring of completed traces plus
+//!   streaming VLRT attribution: for every response above the VLRT
+//!   threshold, traced or not, which segment dominated and which
+//!   millibottleneck ([`StallWindow`]) the request overlapped, with the
+//!   first VLRTs' timelines kept as causal chains.
 //!
 //! The log is deliberately cheap: events are plain copyable enums pushed
 //! into per-request vectors, retention is bounded, and everything is
@@ -619,25 +620,50 @@ impl TraceLog {
         });
     }
 
-    /// Folds in one finished trace. `vlrt_threshold` decides whether the
-    /// request enters the attribution path. Returns the trace this record
-    /// retired — the ring's evicted oldest, or the input itself when the
-    /// ring retains nothing — so callers can recycle its event buffer
-    /// instead of letting the allocation die.
-    pub fn record(
+    /// Whether a timeline started now could still be kept: there is a
+    /// ring (it takes every finished trace), or the VLRT chains have room.
+    /// Monotone: once false it stays false, because chains only fill.
+    pub fn may_retain(&self) -> bool {
+        self.capacity > 0 || self.vlrt.len() < self.vlrt_capacity
+    }
+
+    /// Folds in one completed request, traced or not, that was first
+    /// issued at `issued` and completed at `done`. `segments_us` are its
+    /// six segments from the simulator's own milestones; a response time
+    /// above `vlrt_threshold` is attributed from them and from the stalls
+    /// overlapping `[issued, done]`, and becomes a causal chain if it
+    /// carries its `trace` and the chains have room. Returns the trace
+    /// this record retired — the ring's evicted oldest, or the input
+    /// itself when the ring retains nothing — so callers can recycle its
+    /// event buffer instead of letting the allocation die.
+    pub fn record_completed(
         &mut self,
-        trace: RequestTrace,
+        issued: SimTime,
+        done: SimTime,
+        segments_us: Option<[u64; 6]>,
+        trace: Option<RequestTrace>,
         vlrt_threshold: SimDuration,
     ) -> Option<RequestTrace> {
-        match trace.response_time() {
-            Some(rt) => {
-                self.completed += 1;
-                if rt > vlrt_threshold {
-                    self.attribute_vlrt(&trace);
-                }
+        self.completed += 1;
+        if done.saturating_since(issued) > vlrt_threshold {
+            self.summary.vlrt_total += 1;
+            if let Some(segments_us) = segments_us {
+                self.attribute_vlrt(issued, done, segments_us, trace.as_ref());
             }
-            None => self.failed += 1,
         }
+        self.retain(trace)
+    }
+
+    /// Folds in one failed request, with its trace if it was traced.
+    /// Returns the retired trace, as [`TraceLog::record_completed`] does.
+    pub fn record_failed(&mut self, trace: Option<RequestTrace>) -> Option<RequestTrace> {
+        self.failed += 1;
+        self.retain(trace)
+    }
+
+    /// Pushes `trace` into the ring, returning what leaves it.
+    fn retain(&mut self, trace: Option<RequestTrace>) -> Option<RequestTrace> {
+        let trace = trace?;
         if self.capacity == 0 {
             return Some(trace);
         }
@@ -650,20 +676,18 @@ impl TraceLog {
         evicted
     }
 
-    fn attribute_vlrt(&mut self, trace: &RequestTrace) {
-        self.summary.vlrt_total += 1;
-        let Some(segments_us) = trace.segments_us() else {
-            return;
-        };
+    fn attribute_vlrt(
+        &mut self,
+        from: SimTime,
+        to: SimTime,
+        segments_us: [u64; 6],
+        trace: Option<&RequestTrace>,
+    ) {
         let dominant = Segment::dominant(&segments_us);
         self.summary.dominant_counts[dominant.index()] += 1;
         // The stall that best explains this request: largest overlap with
         // its lifetime. Stalls are few (one per millibottleneck), so a
         // linear scan per VLRT is fine.
-        let (from, to) = (
-            trace.issued_at().expect("segments imply events"),
-            trace.last_at().expect("segments imply events"),
-        );
         let mut stall = None;
         let mut overlap = SimDuration::ZERO;
         for (i, w) in self.stalls.iter().enumerate() {
@@ -676,7 +700,7 @@ impl TraceLog {
         if stall.is_some() {
             self.summary.overlapping_stall += 1;
         }
-        if self.vlrt.len() < self.vlrt_capacity {
+        if let Some(trace) = trace.filter(|_| self.vlrt.len() < self.vlrt_capacity) {
             self.vlrt.push(VlrtCause {
                 trace: trace.clone(),
                 segments_us,
@@ -795,6 +819,22 @@ mod tests {
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
+    }
+
+    /// Folds in a hand-built trace with a 1 s VLRT threshold, its
+    /// segments and lifetime read off its own events.
+    fn record(log: &mut TraceLog, trace: RequestTrace) {
+        let threshold = SimDuration::from_millis(1_000);
+        match trace.response_time() {
+            Some(_) => {
+                let (issued, done) = (trace.issued_at().unwrap(), trace.last_at().unwrap());
+                let segments = trace.segments_us();
+                log.record_completed(issued, done, segments, Some(trace), threshold);
+            }
+            None => {
+                log.record_failed(Some(trace));
+            }
+        }
     }
 
     /// A full lifecycle with one drop + 1 s retransmission.
@@ -933,7 +973,7 @@ mod tests {
         for id in 0..5 {
             let mut tr = dropped_then_served();
             tr.id = id;
-            log.record(tr, SimDuration::from_millis(1_000));
+            record(&mut log, tr);
         }
         let kept: Vec<u64> = log.recent().map(|t| t.id).collect();
         assert_eq!(kept, vec![3, 4]);
@@ -944,11 +984,35 @@ mod tests {
     }
 
     #[test]
+    fn untraced_completions_are_attributed_without_a_chain() {
+        let mut log = TraceLog::new(0, 1);
+        log.record_stall("tomcat2".into(), StallKind::Flush, t(0), t(200));
+        assert!(log.may_retain());
+        record(&mut log, dropped_then_served()); // fills the one chain
+        assert!(!log.may_retain());
+        // An untraced VLRT: same milestones, no timeline.
+        let segments = dropped_then_served().segments_us();
+        let threshold = SimDuration::from_millis(1_000);
+        assert!(log
+            .record_completed(t(100), t(1_200), segments, None, threshold)
+            .is_none());
+        assert_eq!(log.completed, 2);
+        assert_eq!(log.summary.vlrt_total, 2);
+        assert_eq!(
+            log.summary.dominant_counts[Segment::RetransmitWait.index()],
+            2
+        );
+        assert_eq!(log.summary.overlapping_stall, 2);
+        assert_eq!(log.vlrt_causes().len(), 1);
+        assert!(!log.may_retain());
+    }
+
+    #[test]
     fn vlrt_attribution_finds_overlapping_stall() {
         let mut log = TraceLog::new(16, 16);
         log.record_stall("tomcat2".into(), StallKind::Flush, t(0), t(200));
         log.record_stall("tomcat1".into(), StallKind::Gc, t(900), t(1_010));
-        log.record(dropped_then_served(), SimDuration::from_millis(1_000));
+        record(&mut log, dropped_then_served());
         assert_eq!(log.summary.vlrt_total, 1);
         assert_eq!(log.summary.overlapping_stall, 1);
         let cause = &log.vlrt_causes()[0];
@@ -965,7 +1029,7 @@ mod tests {
     #[test]
     fn summary_shares_and_render() {
         let mut log = TraceLog::new(4, 4);
-        log.record(dropped_then_served(), SimDuration::from_millis(1_000));
+        record(&mut log, dropped_then_served());
         let s = log.summary;
         assert!((s.network_or_routing_share() - 1.0).abs() < 1e-12);
         assert!(s.render().contains("retransmit wait"));
@@ -1003,7 +1067,7 @@ mod tests {
                 rt: SimDuration::from_millis(9),
             },
         );
-        log.record(tr, SimDuration::from_millis(1_000));
+        record(&mut log, tr);
         assert_eq!(log.summary.vlrt_total, 0);
         assert_eq!(log.completed, 1);
     }
@@ -1026,7 +1090,7 @@ mod tests {
                 elapsed: SimDuration::from_millis(7_000),
             },
         );
-        log.record(tr, SimDuration::from_millis(1_000));
+        record(&mut log, tr);
         assert_eq!(log.failed, 1);
         assert_eq!(log.completed, 0);
     }
@@ -1035,13 +1099,13 @@ mod tests {
     fn digest_is_stable_and_sensitive() {
         let mut a = TraceLog::new(8, 8);
         let mut b = TraceLog::new(8, 8);
-        a.record(dropped_then_served(), SimDuration::from_millis(1_000));
-        b.record(dropped_then_served(), SimDuration::from_millis(1_000));
+        record(&mut a, dropped_then_served());
+        record(&mut b, dropped_then_served());
         assert_eq!(a.digest(), b.digest());
         let mut c = TraceLog::new(8, 8);
         let mut tr = dropped_then_served();
         tr.events[0].at = t(1); // shift one timestamp
-        c.record(tr, SimDuration::from_millis(1_000));
+        record(&mut c, tr);
         assert_ne!(a.digest(), c.digest());
     }
 }

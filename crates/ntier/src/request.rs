@@ -107,6 +107,29 @@ impl RequestState {
         }
     }
 
+    /// The six response-time segments (µs, `PhaseBreakdown` order) of
+    /// the request completing at `now`. The milestones chain
+    /// `first_issued` → arrived → admitted → routed → acquired →
+    /// replied → `now`, so the segments partition the response time.
+    /// `None` if the request never reached one of the milestones.
+    pub fn segments(&self, now: SimTime) -> Option<[u64; 6]> {
+        let (arrived, admitted, routed, acquired, replied) = (
+            self.arrived_at?,
+            self.admitted_at?,
+            self.routed_at?,
+            self.acquired_at?,
+            self.replied_at?,
+        );
+        Some([
+            arrived.saturating_since(self.first_issued).as_micros(),
+            admitted.saturating_since(arrived).as_micros(),
+            routed.saturating_since(admitted).as_micros(),
+            acquired.saturating_since(routed).as_micros(),
+            replied.saturating_since(acquired).as_micros(),
+            now.saturating_since(replied).as_micros(),
+        ])
+    }
+
     /// Resets routing state for a fresh pass through the balancer.
     pub fn reset_routing(&mut self) {
         self.exclude.iter_mut().for_each(|e| *e = false);
@@ -133,6 +156,25 @@ mod tests {
         assert_eq!(r.exclude, vec![false; 4]);
         assert!(r.backend.is_none());
         assert_eq!(r.retransmit.attempts(), 1);
+    }
+
+    #[test]
+    fn segments_partition_the_response_time() {
+        let ms = SimTime::from_millis;
+        let mut r = RequestState::new(RequestId(1), ClientId(0), InteractionId(0), ms(10), 0, 2);
+        r.arrived_at = Some(ms(1_011));
+        r.admitted_at = Some(ms(1_013));
+        r.routed_at = Some(ms(1_016));
+        assert_eq!(r.segments(ms(1_100)), None, "not yet acquired or replied");
+        r.acquired_at = Some(ms(1_020));
+        r.replied_at = Some(ms(1_050));
+        let segs = r.segments(ms(1_051)).unwrap();
+        assert_eq!(
+            segs,
+            [1_001_000, 2_000, 3_000, 4_000, 30_000, 1_000],
+            "µs per segment"
+        );
+        assert_eq!(segs.iter().sum::<u64>(), 1_041_000);
     }
 
     #[test]

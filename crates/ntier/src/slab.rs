@@ -203,21 +203,6 @@ impl<T> RequestArena<T> {
         self.slots[slot].state.as_mut()
     }
 
-    /// Exclusive access to the entry under `key`, inserting
-    /// `default()` first if the key is not live. Returns `None` only for
-    /// keys behind the window (already retired), which the caller treats
-    /// as "this request's record is gone" — exactly what a map lookup
-    /// after removal used to yield.
-    pub fn get_or_insert_with(&mut self, key: u64, default: impl FnOnce() -> T) -> Option<&mut T> {
-        if !self.index.is_empty() && key < self.base {
-            return None;
-        }
-        if self.get(key).is_none() {
-            self.insert(key, default());
-        }
-        self.get_mut(key)
-    }
-
     /// Removes and returns the entry under `key`, recycling its slot.
     pub fn remove(&mut self, key: u64) -> Option<T> {
         let off = self.offset(key)?;
@@ -355,19 +340,6 @@ mod tests {
         assert_eq!(a.get(12), None);
         a.insert(11, 3);
         assert_eq!(a.get(11), Some(&3));
-    }
-
-    #[test]
-    fn get_or_insert_with_is_noop_behind_the_window() {
-        let mut a = RequestArena::new();
-        a.insert(5, 1);
-        a.remove(5);
-        a.insert(9, 2);
-        assert!(a.get_or_insert_with(3, || 99).is_none());
-        assert_eq!(a.len(), 1);
-        *a.get_or_insert_with(9, || 0).unwrap() += 1;
-        assert_eq!(a.get(9), Some(&3));
-        assert_eq!(a.get_or_insert_with(12, || 7).copied(), Some(7));
     }
 
     #[test]

@@ -257,6 +257,11 @@ impl NTierSystem {
         self.tracer.log()
     }
 
+    /// The per-request tracer (its timeline counts and cutoff).
+    pub fn tracer(&self) -> &Tracer {
+        &self.tracer
+    }
+
     /// The live telemetry bundle, when `cfg.metrics` is enabled — for
     /// incremental draining of the registry mid-run.
     pub fn live_metrics_mut(&mut self) -> Option<&mut LiveMetrics> {
@@ -952,26 +957,11 @@ impl NTierSystem {
     fn on_client_done(&mut self, now: SimTime, sched: &mut Scheduler<'_, Event>, id: RequestId) {
         let r = Self::remove_live(&mut self.requests, id);
         let rt = now.saturating_since(r.first_issued);
-        self.tracer.completed(id, now, rt);
+        let segments = r.segments(now);
+        self.tracer.completed(id, r.first_issued, now, segments);
         self.telemetry.record_completion(now, rt);
-        // Fold the request's time into the phase breakdown. The timestamps
-        // chain first_issued → arrived → admitted → routed → acquired →
-        // replied → now, so the segments partition the response time.
-        if let (Some(arrived), Some(admitted), Some(routed), Some(acquired), Some(replied)) = (
-            r.arrived_at,
-            r.admitted_at,
-            r.routed_at,
-            r.acquired_at,
-            r.replied_at,
-        ) {
-            let b = &mut self.telemetry.phase_breakdown;
-            b.count += 1;
-            b.retransmit_wait_us += arrived.saturating_since(r.first_issued).as_micros();
-            b.apache_admission_us += admitted.saturating_since(arrived).as_micros();
-            b.apache_cpu_us += routed.saturating_since(admitted).as_micros();
-            b.routing_us += acquired.saturating_since(routed).as_micros();
-            b.backend_us += replied.saturating_since(acquired).as_micros();
-            b.response_us += now.saturating_since(replied).as_micros();
+        if let Some(segments) = segments {
+            self.telemetry.phase_breakdown.add(segments);
         }
         self.client_continue(now, sched, r.client);
     }

@@ -93,6 +93,20 @@ pub struct PhaseBreakdown {
 }
 
 impl PhaseBreakdown {
+    /// Folds in one completed request's six segments (µs, in the order
+    /// documented on the type).
+    pub fn add(&mut self, segments_us: [u64; 6]) {
+        let [retransmit_wait, apache_admission, apache_cpu, routing, backend, response] =
+            segments_us;
+        self.count += 1;
+        self.retransmit_wait_us += retransmit_wait;
+        self.apache_admission_us += apache_admission;
+        self.apache_cpu_us += apache_cpu;
+        self.routing_us += routing;
+        self.backend_us += backend;
+        self.response_us += response;
+    }
+
     /// Mean microseconds per request for each segment, in the order
     /// documented on the type. Returns `None` if nothing was recorded.
     pub fn means_us(&self) -> Option<[f64; 6]> {

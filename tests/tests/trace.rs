@@ -8,7 +8,8 @@ use mlb_metrics::spans::{Segment, SpanKind};
 use mlb_ntier::config::SystemConfig;
 use mlb_ntier::experiment::{run_experiment, ExperimentResult};
 use mlb_ntier::trace::TraceConfig;
-use mlb_simkernel::time::SimDuration;
+use mlb_ntier::NTierSystem;
+use mlb_simkernel::time::{SimDuration, SimTime};
 
 /// Tracing that keeps every trace in the ring, for the checks that walk
 /// all of them.
@@ -183,10 +184,12 @@ fn skip_to_busy_remedy_reduces_routing_dominated_vlrts() {
 
 #[test]
 fn default_retention_is_bounded_whatever_the_horizon() {
-    // The default ring keeps the last 4 096 finished traces, however
-    // long the run; the VLRT chains stay capped, attribution still counts
-    // every VLRT, and the traced run replays the untraced one exactly.
+    // The default log keeps no ring: only the VLRT chains (capped), the
+    // stall windows and the summary, however long the run. Attribution
+    // still counts every VLRT, and the traced run replays the untraced
+    // one exactly.
     let defaults = TraceConfig::enabled_default();
+    assert_eq!(defaults.recent_capacity, 0);
     for secs in [10, 20] {
         let run = |trace: TraceConfig| {
             let mut cfg = SystemConfig::smoke(BalancerConfig::with(
@@ -200,16 +203,8 @@ fn default_retention_is_bounded_whatever_the_horizon() {
         let traced = run(defaults.clone());
         let plain = run(TraceConfig::disabled());
         let log = traced.trace.expect("tracing was enabled");
-        let finished = log.completed + log.failed;
-        assert!(
-            finished > defaults.recent_capacity as u64,
-            "{secs} s: {finished} finished requests do not fill the ring"
-        );
-        assert_eq!(
-            log.recent().count() as u64,
-            finished.min(defaults.recent_capacity as u64),
-            "{secs} s: ring size"
-        );
+        assert!(log.completed > 4_096, "{secs} s: run too short");
+        assert_eq!(log.recent().count(), 0, "{secs} s: ring size");
         assert!(log.vlrt_causes().len() <= defaults.vlrt_capacity);
         assert!(log.summary.vlrt_total > 0, "{secs} s: no VLRTs to count");
         assert_eq!(
@@ -218,6 +213,123 @@ fn default_retention_is_bounded_whatever_the_horizon() {
             "{secs} s: attribution missed VLRTs"
         );
         assert_eq!(log.completed, plain.telemetry.response.total());
+        assert_eq!(log.failed, plain.telemetry.failed_requests);
         assert_eq!(traced.events_processed, plain.events_processed);
+    }
+}
+
+/// A small chain cap, so smoke runs pass the timeline cutoff early.
+const FEW_CHAINS: usize = 64;
+
+fn smoke_at(seed: u64, trace: TraceConfig) -> SystemConfig {
+    let mut cfg = SystemConfig::smoke(BalancerConfig::with(
+        PolicyKind::TotalRequest,
+        MechanismKind::Original,
+    ));
+    cfg.seed = seed;
+    cfg.trace = trace;
+    cfg
+}
+
+#[test]
+fn the_timeline_cutoff_loses_nothing() {
+    // With no ring, timelines stop once the VLRT chains are full. A run
+    // that traces every request (a ring larger than the run, same chain
+    // cap) must read the same counts, summary, chains and stalls.
+    for seed in [7u64, 8, 42] {
+        for every in [1u64, 3] {
+            let cut = TraceConfig {
+                recent_capacity: 0,
+                vlrt_capacity: FEW_CHAINS,
+                sample_every: every,
+                ..TraceConfig::enabled_default()
+            };
+            let full = TraceConfig {
+                recent_capacity: 1 << 20,
+                ..cut.clone()
+            };
+            let what = format!("seed {seed}, 1 in {every}");
+            let a = run_experiment(smoke_at(seed, cut))
+                .expect("smoke config is valid")
+                .trace
+                .expect("tracing was enabled");
+            let b = run_experiment(smoke_at(seed, full))
+                .expect("smoke config is valid")
+                .trace
+                .expect("tracing was enabled");
+            assert_eq!(b.recent().count() as u64, b.completed + b.failed);
+            assert_eq!(a.vlrt_causes().len(), FEW_CHAINS, "{what}: chains not full");
+            assert!(
+                a.summary.vlrt_total > FEW_CHAINS as u64,
+                "{what}: the cutoff never fired"
+            );
+            assert_eq!(a.completed, b.completed, "{what}: completed");
+            assert_eq!(a.failed, b.failed, "{what}: failed");
+            assert_eq!(a.summary, b.summary, "{what}: summary");
+            assert_eq!(a.stalls, b.stalls, "{what}: stall windows");
+            assert_eq!(a.vlrt_causes().len(), b.vlrt_causes().len());
+            for (x, y) in a.vlrt_causes().iter().zip(b.vlrt_causes()) {
+                let id = x.trace.id;
+                assert_eq!(x.trace, y.trace, "{what}: chain {id} id or events");
+                assert_eq!(x.segments_us, y.segments_us, "{what}: chain {id}");
+                assert_eq!(x.dominant, y.dominant, "{what}: chain {id}");
+                assert_eq!(x.stall, y.stall, "{what}: chain {id}");
+                assert_eq!(x.overlap, y.overlap, "{what}: chain {id}");
+            }
+        }
+    }
+}
+
+#[test]
+fn chain_segments_from_milestones_match_their_events() {
+    // Each chain's segments come from the request's milestones; its
+    // timeline must re-derive them exactly. (Every traced completion is
+    // also checked against its milestones by a debug assertion in
+    // `Tracer::completed`, which these full-retention runs exercise.)
+    for seed in [7u64, 8, 42] {
+        let log = run_experiment(smoke_at(seed, full_retention()))
+            .expect("smoke config is valid")
+            .trace
+            .expect("tracing was enabled");
+        assert_eq!(log.recent().count() as u64, log.completed + log.failed);
+        assert!(!log.vlrt_causes().is_empty(), "seed {seed}: no chains");
+        for c in log.vlrt_causes() {
+            assert_eq!(
+                c.trace.segments_us(),
+                Some(c.segments_us),
+                "seed {seed}: chain {}",
+                c.trace.id
+            );
+        }
+    }
+}
+
+#[test]
+fn no_timeline_starts_at_or_past_the_cutoff() {
+    for every in [1u64, 3] {
+        let cfg = smoke_at(
+            7,
+            TraceConfig {
+                recent_capacity: 0,
+                vlrt_capacity: 16,
+                sample_every: every,
+                ..TraceConfig::enabled_default()
+            },
+        );
+        let horizon = SimTime::ZERO + cfg.duration;
+        let mut sim = NTierSystem::build_simulation(cfg).expect("smoke config is valid");
+        sim.run_until(horizon);
+        let tracer = sim.model().tracer();
+        let cutoff = tracer.cutoff().expect("16 chains fill early").0;
+        assert!(
+            cutoff.is_multiple_of(every),
+            "cutoff {cutoff} is not sampled"
+        );
+        // Exactly the sampled ids 0, every, 2·every, … below the cutoff.
+        assert_eq!(tracer.timelines_started(), cutoff.div_ceil(every));
+        assert_eq!(tracer.live_timelines(), 0, "timelines still in flight");
+        let log = tracer.log().expect("tracing was enabled");
+        assert_eq!(log.vlrt_causes().len(), 16);
+        assert!(log.vlrt_causes().iter().all(|c| c.trace.id < cutoff));
     }
 }
