@@ -143,7 +143,6 @@ impl Cell {
 /// The streaming registry: instruments, the open window, and the queue
 /// of closed-but-undrained [`WindowRecord`]s.
 #[derive(Debug)]
-// simlint::state(observer)
 pub struct Registry {
     window: SimDuration,
     defs: Vec<MetricDef>,

@@ -208,7 +208,6 @@ impl Segment {
 
 /// One request's ordered event timeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
-// simlint::state(observer)
 pub struct RequestTrace {
     /// The logical request id.
     pub id: u64,

@@ -1,5 +1,7 @@
 //! Full-system configuration and the paper's scenario presets.
 
+use std::ops::Deref;
+
 use mlb_core::BalancerConfig;
 use mlb_netmodel::link::Link;
 use mlb_netmodel::retransmit::RtoSchedule;
@@ -248,7 +250,10 @@ impl SystemConfig {
             .map_or(&self.tomcat_machine, |m| &m[i])
     }
 
-    /// Validates cross-field consistency.
+    /// Validates cross-field consistency. A config that passes can be
+    /// turned into a [`Frozen`] one with [`SystemConfig::validated`],
+    /// which is the only form [`NTierSystem`](crate::system::NTierSystem)
+    /// runs.
     ///
     /// # Errors
     ///
@@ -328,6 +333,53 @@ impl SystemConfig {
         }
         self.balancer.validate()?;
         Ok(())
+    }
+
+    /// Validates the config and freezes it: the result can be read but
+    /// never written again.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SystemConfig::validate`]'s message.
+    pub fn validated(self) -> Result<Frozen<SystemConfig>, String> {
+        self.validate()?;
+        Ok(Frozen(self))
+    }
+}
+
+/// A value that passed validation and stays as validated.
+///
+/// Only [`SystemConfig::validated`] makes one: the field is private to
+/// this module. `Frozen` implements [`Deref`] but not `DerefMut`, so
+/// every field reads through it and no field can be written, and a run
+/// can never start from (or drift to) a config no validator saw.
+///
+/// ```
+/// # use mlb_core::{BalancerConfig, MechanismKind, PolicyKind};
+/// # use mlb_ntier::config::SystemConfig;
+/// let bal = BalancerConfig::with(PolicyKind::CurrentLoad, MechanismKind::Original);
+/// let mut cfg = SystemConfig::smoke(bal).validated().unwrap();
+/// let _seed = cfg.seed;
+/// ```
+///
+/// The same program with the read turned into a write does not compile
+/// (E0594: cannot assign through a `Deref`):
+///
+/// ```compile_fail
+/// # use mlb_core::{BalancerConfig, MechanismKind, PolicyKind};
+/// # use mlb_ntier::config::SystemConfig;
+/// let bal = BalancerConfig::with(PolicyKind::CurrentLoad, MechanismKind::Original);
+/// let mut cfg = SystemConfig::smoke(bal).validated().unwrap();
+/// cfg.seed = 0;
+/// ```
+#[derive(Debug)]
+pub struct Frozen<T>(T);
+
+impl<T> Deref for Frozen<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
     }
 }
 

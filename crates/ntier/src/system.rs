@@ -39,7 +39,7 @@ use mlb_simkernel::time::{SimDuration, SimTime};
 use mlb_workload::clients::ClientId;
 
 use crate::affinity::SessionAffinity;
-use crate::config::SystemConfig;
+use crate::config::{Frozen, SystemConfig};
 use crate::events::{Event, ServerRef};
 use crate::metrics::{LiveMetrics, MetricsReport};
 use crate::request::{Phase, RequestId, RequestState};
@@ -65,7 +65,7 @@ impl Error for InvalidSystemConfigError {}
 /// The complete simulated testbed.
 #[derive(Debug)]
 pub struct NTierSystem {
-    cfg: SystemConfig,
+    cfg: Frozen<SystemConfig>,
     apaches: Vec<ApacheServer>,
     tomcats: Vec<TomcatServer>,
     mysql: MySqlServer,
@@ -100,13 +100,14 @@ impl NTierSystem {
     /// Returns [`InvalidSystemConfigError`] if the configuration is
     /// inconsistent.
     pub fn new(cfg: SystemConfig) -> Result<Self, InvalidSystemConfigError> {
-        cfg.validate()
+        let cfg = cfg
+            .validated()
             .map_err(|message| InvalidSystemConfigError { message })?;
         let mut seeds = SeedSequence::new(cfg.seed);
         let apaches = (0..cfg.apaches)
             .map(|_| {
                 let balancer = Balancer::new(cfg.balancer.clone(), cfg.tomcats)
-                    // simlint::allow(panic-hygiene): cfg.validate() above already accepted the balancer config
+                    // simlint::allow(panic-hygiene): cfg.validated() above already accepted the balancer config
                     .expect("balancer config validated with system config");
                 ApacheServer::new(
                     Machine::new(cfg.apache_machine.clone()),

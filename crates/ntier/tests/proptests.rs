@@ -6,7 +6,9 @@ use mlb_core::{BalancerConfig, MechanismKind, PolicyKind};
 use mlb_netmodel::link::Link;
 use mlb_ntier::config::SystemConfig;
 use mlb_ntier::experiment::{run_experiment, ExperimentResult};
+use mlb_ntier::metrics::MetricsConfig;
 use mlb_ntier::system::NTierSystem;
+use mlb_ntier::trace::TraceConfig;
 use mlb_osmodel::machine::{GcConfig, MachineConfig};
 use mlb_osmodel::pagecache::PageCacheConfig;
 use mlb_simkernel::time::SimDuration;
@@ -111,7 +113,7 @@ fn build(f: &FuzzConfig) -> SystemConfig {
         cfg.balancer.sticky_violation_budget = (f.seed % 4) as u32;
     }
     if f.feedback {
-        cfg.metrics = mlb_ntier::metrics::MetricsConfig::enabled_default();
+        cfg.metrics = MetricsConfig::enabled_default();
         cfg.detector_feedback = true;
     }
     cfg.duration = SimDuration::from_secs(3);
@@ -251,6 +253,38 @@ proptest! {
         prop_assert_eq!(
             a.telemetry.histogram.buckets(),
             b.telemetry.histogram.buckets()
+        );
+    }
+
+    /// Turning the observers on never changes a run: with tracing,
+    /// metrics and the kernel profiler on, a fuzzed config issues,
+    /// processes and reports exactly what it does with them off. Every
+    /// observer hook sits behind a one-call gate, so this is what keeps
+    /// the gate bodies free of sim-state writes. Detector feedback
+    /// routes on the metrics, so those stay on in both arms.
+    #[test]
+    fn fuzzed_configs_run_identically_with_observers_on(f in fuzz_strategy()) {
+        let mut off = build(&f);
+        off.trace = TraceConfig::disabled();
+        off.prof = false;
+        if !f.feedback {
+            off.metrics = MetricsConfig::disabled();
+        }
+        let mut on = build(&f);
+        on.trace = TraceConfig::enabled_default();
+        on.metrics = MetricsConfig::enabled_default();
+        on.prof = true;
+        let a = run_experiment(off).expect("valid");
+        let b = run_experiment(on).expect("valid");
+        prop_assert!(b.trace.is_some() && b.metrics.is_some() && b.profile.is_some());
+        prop_assert_eq!(a.requests_issued, b.requests_issued, "{:?}", f);
+        prop_assert_eq!(a.inflight_at_end, b.inflight_at_end, "{:?}", f);
+        prop_assert_eq!(a.events_processed, b.events_processed, "{:?}", f);
+        prop_assert_eq!(
+            format!("{:?}", a.telemetry),
+            format!("{:?}", b.telemetry),
+            "{:?}",
+            f
         );
     }
 

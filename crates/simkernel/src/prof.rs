@@ -160,7 +160,6 @@ impl KernelProfiler {
 /// Exporters must keep the two separable — `mlb-metrics` names them
 /// `prof.….count` vs `prof.….wall_ns` and digests only the former.
 #[derive(Debug, Clone, PartialEq, Eq)]
-// simlint::state(observer)
 pub struct KernelProfile {
     /// Event-kind vocabulary, in the model's declaration order.
     pub kind_names: &'static [&'static str],

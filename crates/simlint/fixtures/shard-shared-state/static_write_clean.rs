@@ -1,10 +1,8 @@
-// Fixture: clean under the static-write upgrade. Reading a static is
-// fine — only writes turn a process global into a cross-shard channel.
+// Fixture: clean under `shard-shared-state`. A plain immutable static
+// cannot be written from safe code, so reading it is fine.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+static EVENT_LIMIT: u64 = 1_000_000;
 
-static EVENT_COUNT: AtomicU64 = AtomicU64::new(0);
-
-pub fn current() -> u64 {
-    EVENT_COUNT.load(Ordering::SeqCst)
+pub fn limit() -> u64 {
+    EVENT_LIMIT
 }

@@ -1,8 +1,8 @@
-// Fixture: triggers the field-sensitive write upgrade of
-// `shard-shared-state`. The static itself is soundly synchronized
-// (SeqCst atomic — the token heuristics accept it), but sim code
-// WRITING a process global is still cross-shard communication, and the
-// write-effect engine reports the write site.
+// Fixture: triggers `shard-shared-state` at the declaration of an
+// atomic static. The static is soundly synchronized (SeqCst), but safe
+// code can only write a static through interior mutability, so every
+// static sim code could write is caught where it is declared: one
+// finding, on the `AtomicU64` type, none at the write site.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -722,24 +722,19 @@ pub fn collect_item_spans(file: &File) -> Vec<Span> {
     out
 }
 
-/// Walks every function (with its enclosing impl type name, if any)
-/// under the file's items, including functions nested in modules but
-/// skipping `#[cfg(test)]` modules — the function set the summary
-/// engine and the AST rules share.
-pub fn walk_fns<'a>(file: &'a File, f: &mut impl FnMut(Option<&'a str>, &'a Func)) {
-    fn items<'a>(
-        list: &'a [Item],
-        owner: Option<&'a str>,
-        f: &mut impl FnMut(Option<&'a str>, &'a Func),
-    ) {
+/// Walks every function under the file's items, including functions
+/// in impls and nested modules but skipping `#[cfg(test)]` modules —
+/// the function set the summary engine and the AST rules share.
+pub fn walk_fns<'a>(file: &'a File, f: &mut impl FnMut(&'a Func)) {
+    fn items<'a>(list: &'a [Item], f: &mut impl FnMut(&'a Func)) {
         for item in list {
             match &item.kind {
-                ItemKind::Fn(func) => f(owner, func),
-                ItemKind::Impl(imp) => items(&imp.items, Some(&imp.ty_name), f),
-                ItemKind::Mod(m) if !m.cfg_test => items(&m.items, owner, f),
+                ItemKind::Fn(func) => f(func),
+                ItemKind::Impl(imp) => items(&imp.items, f),
+                ItemKind::Mod(m) if !m.cfg_test => items(&m.items, f),
                 _ => {}
             }
         }
     }
-    items(&file.items, None, f);
+    items(&file.items, f);
 }

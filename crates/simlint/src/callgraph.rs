@@ -8,16 +8,13 @@
 //!   an event-scheduling sink inside the body (directly or via further
 //!   calls), and whether the return value is itself a nondeterminism
 //!   source or a hash-ordered collection;
-//! * **units** — the declared time unit of the returned value;
-//! * **write effects** — which parameters (by index and first projected
-//!   field) and which statics the body may write *sim* state through.
+//! * **units** — the declared time unit of the returned value.
 //!
 //! The body walker in `dataflow.rs` consumes the summaries at call
 //! sites, so a taint laundered through a helper —
 //! `sched.schedule(hop1(stamp), 0)` where `hop1` forwards to `hop2`
 //! which returns its argument — is still reported at the one call site
-//! where the tainted value enters the flow, and a sim-state write two
-//! helper hops below an observation gate is reported at the gated call.
+//! where the tainted value enters the flow.
 //!
 //! Like the rest of simlint's symbol layer, summaries are keyed by
 //! *name*, not by resolved path: the hand-rolled parser has no type
@@ -25,28 +22,27 @@
 //! Names defined with conflicting arities are excluded outright
 //! (callers fall back to the conservative intra-procedural behavior),
 //! and same-arity same-name definitions are merged by union, which
-//! over-approximates but never misses a flow or a write.
+//! over-approximates but never misses a flow.
 //!
-//! The solver runs once: it collects definitions (with their impl
-//! owner), drops conflicting arities, builds the name-granular call
+//! The solver runs once: it collects definitions, drops conflicting
+//! arities, builds the name-granular call
 //! graph, and condenses it with Tarjan's algorithm (iterative, so
 //! adversarial call-chain depth cannot overflow the stack), which emits
 //! SCCs callees-first. An acyclic function is summarized in one walk;
 //! each cycle starts from the empty summary and re-walks its members
 //! until no summary changes. Every field only grows (bit-masks and sets
 //! union, flags and first-seen values latch) and the lattice is finite
-//! — 32 parameter bits, the fields and statics the workspace names — so
-//! the loop terminates without a round cap.
+//! — 32 parameter bits, three taint kinds, three units — so the loop
+//! terminates without a round cap.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ast::{walk_block_exprs, walk_fns, ExprKind, File, Func};
 use crate::dataflow::{summarize_fn, Ctx, TaintKind};
-use crate::effects::StateModel;
 use crate::symbols::{Symbols, Unit, UnitAnnotations};
 
 /// What one named function does with its inputs: how values flow
-/// through it and which sim state it may write.
+/// through it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FnSummary {
     /// Declared parameter count, `self` included.
@@ -70,18 +66,10 @@ pub struct FnSummary {
     /// suffix-less helper). A unit in the function's own name wins at
     /// call sites; this fills the gap when there is none.
     pub returns_unit: Option<Unit>,
-    /// `(parameter index, first projected field)` pairs the body may
-    /// write sim state through, transitively. An empty field name means
-    /// the parameter's own pointee (`*p = v`). Observer-classified
-    /// writes are never recorded: they are the observer layers' job.
-    pub sim_writes: BTreeSet<(usize, String)>,
-    /// Names of sim statics the body may write, transitively.
-    pub sim_statics: BTreeSet<String>,
 }
 
 impl FnSummary {
-    /// The bottom of the lattice for `func`: nothing flows, nothing is
-    /// written.
+    /// The bottom of the lattice for `func`: nothing flows.
     pub(crate) fn empty(func: &Func) -> FnSummary {
         FnSummary {
             arity: func.params.len(),
@@ -94,8 +82,6 @@ impl FnSummary {
             returns_taint: None,
             returns_hashy: false,
             returns_unit: None,
-            sim_writes: BTreeSet::new(),
-            sim_statics: BTreeSet::new(),
         }
     }
 
@@ -110,32 +96,6 @@ impl FnSummary {
         self.returns_taint = self.returns_taint.or(other.returns_taint);
         self.returns_hashy |= other.returns_hashy;
         self.returns_unit = self.returns_unit.or(other.returns_unit);
-        self.sim_writes.extend(other.sim_writes);
-        self.sim_statics.extend(other.sim_statics);
-    }
-
-    /// Short human rendering of the write-effect set, for findings and
-    /// the golden snapshot test.
-    pub fn describe(&self) -> String {
-        let mut parts: Vec<String> = self
-            .sim_writes
-            .iter()
-            .map(|(i, f)| {
-                if f.is_empty() {
-                    format!("param {i}")
-                } else if *i == 0 && self.has_self {
-                    format!("self.{f}")
-                } else {
-                    format!("param {i}.{f}")
-                }
-            })
-            .collect();
-        parts.extend(self.sim_statics.iter().map(|s| format!("static {s}")));
-        if parts.is_empty() {
-            "pure".to_owned()
-        } else {
-            parts.join(", ")
-        }
     }
 }
 
@@ -159,46 +119,27 @@ impl Summaries {
     pub fn dropped(&self) -> usize {
         self.map.values().filter(|s| s.is_none()).count()
     }
-
-    /// Stable text rendering of every write-effect set, one
-    /// `name: effects` line per function — the golden-snapshot surface.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (name, s) in &self.map {
-            match s {
-                Some(s) => out.push_str(&format!("{name}: {}\n", s.describe())),
-                None => out.push_str(&format!("{name}: <conflicting arities>\n")),
-            }
-        }
-        out
-    }
 }
 
 /// Builds summaries for every function defined in `files` (skipping
 /// `#[cfg(test)]` modules, like the symbol table does).
-pub fn build(
-    files: &[(&File, &UnitAnnotations)],
-    symbols: &Symbols,
-    model: &StateModel,
-) -> Summaries {
-    // 1. Collect definitions: name → [(impl owner, func, annotations)].
-    type Def<'a> = (Option<&'a str>, &'a Func, &'a UnitAnnotations);
+pub fn build(files: &[(&File, &UnitAnnotations)], symbols: &Symbols) -> Summaries {
+    // 1. Collect definitions: name → [(func, annotations)].
+    type Def<'a> = (&'a Func, &'a UnitAnnotations);
     let mut defs: BTreeMap<&str, Vec<Def<'_>>> = BTreeMap::new();
     for &(file, anns) in files {
-        walk_fns(file, &mut |owner, f| {
-            defs.entry(f.name.as_str())
-                .or_default()
-                .push((owner, f, anns));
+        walk_fns(file, &mut |f| {
+            defs.entry(f.name.as_str()).or_default().push((f, anns));
         });
     }
 
     // 2. Exclude names whose definitions disagree on arity: a bitmask
-    //    or write slot indexed by parameter position is meaningless
+    //    indexed by parameter position is meaningless
     //    across them, and deciding exclusion *before* the fixpoint
     //    keeps it monotone.
     let mut summaries = Summaries::default();
     defs.retain(|name, fns| {
-        let arities: BTreeSet<usize> = fns.iter().map(|(_, f, _)| f.params.len()).collect();
+        let arities: BTreeSet<usize> = fns.iter().map(|(f, _)| f.params.len()).collect();
         if arities.len() > 1 {
             summaries.map.insert((*name).to_owned(), None);
         }
@@ -213,7 +154,7 @@ pub fn build(
         .iter()
         .map(|fns| {
             let mut callees = BTreeSet::new();
-            for (_, f, _) in fns {
+            for (f, _) in fns {
                 let Some(body) = &f.body else { continue };
                 walk_block_exprs(body, &mut |e| {
                     let called = match &e.kind {
@@ -237,7 +178,7 @@ pub fn build(
     //    until a whole round changes nothing.
     for scc in tarjan_sccs(&adj) {
         for &v in &scc {
-            let seed = FnSummary::empty(defs[v][0].1);
+            let seed = FnSummary::empty(defs[v][0].0);
             summaries.map.insert(names[v].to_owned(), Some(seed));
         }
         let cyclic = scc.len() > 1 || adj[scc[0]].contains(&scc[0]);
@@ -245,14 +186,13 @@ pub fn build(
             let mut changed = false;
             for &v in &scc {
                 let mut next = summaries.get(names[v]).cloned().expect("seeded above");
-                for &(owner, f, anns) in &defs[v] {
+                for &(f, anns) in &defs[v] {
                     let ctx = Ctx {
                         symbols,
                         anns,
-                        model,
                         summaries: &summaries,
                     };
-                    next.absorb(summarize_fn(f, owner, ctx));
+                    next.absorb(summarize_fn(f, ctx));
                 }
                 if summaries.get(names[v]) != Some(&next) {
                     changed = true;
@@ -330,7 +270,7 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
     use crate::parser::parse_file;
-    use crate::symbols::{parse_state_annotations, parse_unit_annotations};
+    use crate::symbols::parse_unit_annotations;
 
     fn summarize(src: &str) -> Summaries {
         let toks = lex(src);
@@ -339,8 +279,7 @@ mod tests {
         let (anns, bad) = parse_unit_annotations(&toks);
         assert!(bad.is_empty(), "{bad:?}");
         let symbols = Symbols::build(&[(&file, &anns)]);
-        let model = StateModel::build(&[(&file, &parse_state_annotations(&toks).0)]);
-        build(&[(&file, &anns)], &symbols, &model)
+        build(&[(&file, &anns)], &symbols)
     }
 
     #[test]
@@ -393,29 +332,26 @@ mod tests {
     #[test]
     fn long_cycles_converge_without_a_round_cap() {
         // A 100-function bidirectional chain is one SCC in which facts
-        // move one hop per round; only `a000` writes `g.depth` and
-        // returns its parameter. A capped loop (64 rounds) left the far
-        // end of the chain `pure` and without the param→return bit.
-        let mut src = String::from("pub struct Gauge { pub depth: u64 }\n");
+        // move one hop per round; only `a000` returns its parameter
+        // directly. A capped loop (64 rounds) left the far end of the
+        // chain without the param→return bit.
+        let mut src = String::new();
         for i in 0..100 {
             let body = match i {
-                0 => "g.depth += 1; if v > 0 { a001(g, v) } else { v }".to_owned(),
-                99 => "a098(g, v)".to_owned(),
+                0 => "if v > 0 { a001(v) } else { v }".to_owned(),
+                99 => "a098(v)".to_owned(),
                 _ => format!(
-                    "if v > 0 {{ a{:03}(g, v) }} else {{ a{:03}(g, v) }}",
+                    "if v > 0 {{ a{:03}(v) }} else {{ a{:03}(v) }}",
                     i - 1,
                     i + 1
                 ),
             };
-            src.push_str(&format!(
-                "pub fn a{i:03}(g: &mut Gauge, v: u64) -> u64 {{ {body} }}\n"
-            ));
+            src.push_str(&format!("pub fn a{i:03}(v: u64) -> u64 {{ {body} }}\n"));
         }
         let s = summarize(&src);
         for i in 0..100 {
             let sum = s.get(&format!("a{i:03}")).unwrap();
-            assert_eq!(sum.describe(), "param 0.depth", "a{i:03}");
-            assert_eq!(sum.param_to_return, 0b10, "a{i:03}");
+            assert_eq!(sum.param_to_return, 1, "a{i:03}");
         }
     }
 

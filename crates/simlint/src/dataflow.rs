@@ -1,8 +1,8 @@
-//! The body walker: nondeterminism taint, time units, shard safety and
-//! write effects, in one forward pass per function body.
+//! The body walker: nondeterminism taint, time units and shard safety,
+//! in one forward pass per function body.
 //!
-//! The walk maintains one scope stack whose bindings carry both the
-//! value's [`Facts`] and the write [`Origin`] of what it points into:
+//! The walk maintains one scope stack whose bindings carry the value's
+//! [`Facts`]:
 //!
 //! * **taint** — the value (transitively) originates from a
 //!   nondeterministic source: hash-collection iteration, `Instant`/
@@ -21,26 +21,18 @@
 //! * **shard safety** — values that cross a thread boundary. A tainted
 //!   or hash-ordered binding captured by a closure passed to
 //!   `thread::scope`/`spawn`/`par_runs`, or sent through a channel, is
-//!   a `shard-cross-thread` finding, and so is such a closure *writing*
-//!   a captured binding; a value received from a channel carries a
-//!   *completion-order* fact, and aggregating it by arrival
-//!   (`.push`/`.extend`) instead of by index is a `shard-order-agg`
-//!   finding.
-//! * **write effects** — which parameters and statics the body may
-//!   write sim state through. The write half of the walker (lvalue
-//!   resolution, sim-vs-observer classification, observation gates,
-//!   the frozen-config tracker) lives in `effects.rs`.
+//!   a `shard-cross-thread` finding. Writes need no walker: rustc
+//!   already refuses two threads a `&mut` to one capture, and
+//!   `par_runs` takes an `Fn + Sync` closure.
 //!
 //! The walker runs in two modes. In *summarize* mode — inside the
 //! solver in `callgraph.rs` — it reports nothing: parameters are seeded
 //! with one bit each, and the bits surviving to `return` / sink
-//! positions, the return unit and the sim writes become the function's
-//! [`FnSummary`]. In *check* mode — from `rules::check_ast` — it
-//! reports, consulting the summaries at call sites: a taint laundered
-//! through helper calls still reaches its sink, a helper whose body
-//! schedules its argument turns every call site into a sink, and an
-//! observation-gated call to a helper that writes sim state is an
-//! `observer-purity` finding.
+//! positions and the return unit become the function's [`FnSummary`].
+//! In *check* mode — from `rules::check_ast` — it reports, consulting
+//! the summaries at call sites: a taint laundered through helper calls
+//! still reaches its sink, and a helper whose body schedules its
+//! argument turns every call site into a sink.
 //!
 //! The analysis stays deliberately conservative in the other direction:
 //! one pass per body, branch facts don't merge back, and unknown calls
@@ -53,7 +45,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ast::{Block, Expr, ExprKind, Func, Lit, StmtKind};
 use crate::callgraph::{FnSummary, Summaries};
-use crate::effects::{Origin, StateModel, SHARD_CROSS_THREAD};
 use crate::report::Finding;
 use crate::symbols::{declared_unit, unit_from_name, Symbols, Unit, UnitAnnotations, HASH_TYPES};
 
@@ -61,8 +52,8 @@ use crate::symbols::{declared_unit, unit_from_name, Symbols, Unit, UnitAnnotatio
 pub const NONDET_TAINT: &str = "nondet-taint";
 /// Rule name for time-unit mismatches.
 pub const TIME_UNIT: &str = "time-unit";
-/// Rule name for completion-order aggregation of fan-out results.
-pub const SHARD_ORDER_AGG: &str = "shard-order-agg";
+/// Rule name for nondeterministic values crossing a thread boundary.
+pub const SHARD_CROSS_THREAD: &str = "shard-cross-thread";
 
 /// Which finding families a given file gets reports for. Tracking
 /// always runs in full; only *reporting* is gated, so e.g. taint facts
@@ -74,7 +65,7 @@ pub struct FlowFamilies {
     pub taint: bool,
     /// Report `time-unit`.
     pub unit: bool,
-    /// Report `shard-cross-thread` / `shard-order-agg`.
+    /// Report `shard-cross-thread`.
     pub shard: bool,
 }
 
@@ -130,7 +121,7 @@ struct Taint {
 
 /// Abstract value carried by an expression or binding.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Facts {
+struct Facts {
     taint: Option<Taint>,
     unit: Option<Unit>,
     /// The value is (or contains) a hash-ordered collection.
@@ -139,11 +130,6 @@ pub(crate) struct Facts {
     /// (param *i* is seeded with bit *i*; check mode keeps the bits
     /// flowing so summaries compose, but never reports them).
     params: u32,
-    /// The value was received from a channel, so its identity depends
-    /// on cross-thread completion order.
-    completion: bool,
-    /// The value is a channel endpoint (`channel()` / `sync_channel()`).
-    channel: bool,
 }
 
 impl Facts {
@@ -169,8 +155,6 @@ impl Facts {
             },
             hashy: self.hashy || other.hashy,
             params: self.params | other.params,
-            completion: self.completion || other.completion,
-            channel: self.channel || other.channel,
         }
     }
 }
@@ -214,13 +198,6 @@ const SINK_METHODS: [&str; 4] = ["schedule", "schedule_at", "push", "push_at"];
 /// Functions/methods whose closure argument runs on another thread.
 const CROSS_THREAD_FNS: [&str; 3] = ["spawn", "scope", "par_runs"];
 
-/// Channel receives: the value's identity depends on completion order.
-const RECV_METHODS: [&str; 3] = ["recv", "try_recv", "recv_timeout"];
-
-/// Aggregation methods that append in call order; feeding them a
-/// completion-ordered value makes the aggregate order-sensitive.
-const AGG_METHODS: [&str; 5] = ["push", "extend", "insert", "push_back", "append"];
-
 /// Workspace-wide inputs a body walk reads.
 #[derive(Debug, Clone, Copy)]
 pub struct Ctx<'a> {
@@ -228,16 +205,14 @@ pub struct Ctx<'a> {
     pub symbols: &'a Symbols,
     /// The unit annotations of the file the body lives in.
     pub anns: &'a UnitAnnotations,
-    /// The sim-vs-observer state classification.
-    pub model: &'a StateModel,
     /// Callee summaries (partial while the solver is running).
     pub summaries: &'a Summaries,
 }
 
 /// Computes one function's [`FnSummary`]: the walker in summarize mode
 /// (no findings, the trailing expression counted as a return).
-pub fn summarize_fn(func: &Func, owner: Option<&str>, ctx: Ctx<'_>) -> FnSummary {
-    let mut w = Walker::new(func, owner, ctx, None);
+pub fn summarize_fn(func: &Func, ctx: Ctx<'_>) -> FnSummary {
+    let mut w = Walker::new(func, ctx, None);
     if let Some(body) = &func.body {
         let trailing = w.run_block(body);
         w.record_return(trailing);
@@ -246,50 +221,29 @@ pub fn summarize_fn(func: &Func, owner: Option<&str>, ctx: Ctx<'_>) -> FnSummary
 }
 
 /// Checks one function body, returning its findings attributed to
-/// `path`. `families` gates the flow rules; `sim` (sim-crate library
-/// code) enables `observer-purity`, `frozen-config` and the static-write
-/// upgrade of `shard-shared-state`.
-pub fn check_fn(
-    func: &Func,
-    owner: Option<&str>,
-    ctx: Ctx<'_>,
-    families: FlowFamilies,
-    sim: bool,
-    path: &str,
-) -> Vec<Finding> {
+/// `path`. `families` gates which rules report.
+pub fn check_fn(func: &Func, ctx: Ctx<'_>, families: FlowFamilies, path: &str) -> Vec<Finding> {
     let Some(body) = &func.body else {
         return Vec::new();
     };
     let check = Check {
         path,
         families,
-        sim,
-        gate_depth: 0,
-        cfg_bindings: BTreeMap::new(),
         reported_captures: BTreeSet::new(),
-        reported_writes: BTreeSet::new(),
         findings: Vec::new(),
     };
-    let mut w = Walker::new(func, owner, ctx, Some(check));
+    let mut w = Walker::new(func, ctx, Some(check));
     w.run_block(body);
     w.check.map(|c| c.findings).unwrap_or_default()
 }
 
 /// Check-mode state: what reports, and per-body bookkeeping.
-pub(crate) struct Check<'a> {
+struct Check<'a> {
     path: &'a str,
     families: FlowFamilies,
-    sim: bool,
-    /// Observation-gate nesting depth; > 0 means this code only runs
-    /// when tracing/metrics/profiling is enabled.
-    pub(crate) gate_depth: u32,
-    /// `SystemConfig` bindings in this body → frozen (validate seen)?
-    pub(crate) cfg_bindings: BTreeMap<String, bool>,
     /// (boundary id, name) pairs already reported, so one captured
     /// binding used five times yields one finding.
     reported_captures: BTreeSet<(usize, String)>,
-    /// `(line, col, rule)` write findings already reported.
-    reported_writes: BTreeSet<(u32, u32, &'static str)>,
     findings: Vec<Finding>,
 }
 
@@ -298,73 +252,34 @@ impl Check<'_> {
         match rule {
             NONDET_TAINT => self.families.taint,
             TIME_UNIT => self.families.unit,
-            SHARD_CROSS_THREAD | SHARD_ORDER_AGG => self.families.shard,
-            // The write rules: observer-purity, frozen-config and the
-            // static-write upgrade of shard-shared-state.
-            _ => self.sim,
+            SHARD_CROSS_THREAD => self.families.shard,
+            _ => false,
         }
     }
 }
 
-/// One binding on the walker's scope stack.
-#[derive(Debug, Clone)]
-struct Binding {
-    facts: Facts,
-    /// Where writes through the binding land. `None` marks a flow-only
-    /// binding — a tracked assignment target, or an `if let` name
-    /// outliving its block — that write resolution looks through.
-    origin: Option<Origin>,
-}
-
 /// The one walker over function bodies (see the module docs).
-pub(crate) struct Walker<'a> {
-    pub(crate) ctx: Ctx<'a>,
-    pub(crate) owner: Option<&'a str>,
-    /// Per parameter: its declared type mentions an observer type (or
-    /// it is `self` of an observer impl), so writes through it are
-    /// observer-class regardless of field.
-    pub(crate) param_observer: Vec<bool>,
-    scopes: Vec<BTreeMap<String, Binding>>,
+struct Walker<'a> {
+    ctx: Ctx<'a>,
+    scopes: Vec<BTreeMap<String, Facts>>,
     /// Active thread-crossing closures: (scope depth at entry, id).
     /// A binding resolved from a scope *below* the entry depth was
     /// captured across the thread boundary.
     boundaries: Vec<(usize, usize)>,
     next_boundary: usize,
     /// The summary accumulated so far (kept in both modes).
-    pub(crate) summary: FnSummary,
+    summary: FnSummary,
     /// Two return paths disagreed on their unit, so `returns_unit`
     /// stays `None`.
     returns_unit_conflict: bool,
     /// `Some` in check mode.
-    pub(crate) check: Option<Check<'a>>,
+    check: Option<Check<'a>>,
 }
 
 impl<'a> Walker<'a> {
-    fn new(
-        func: &Func,
-        owner: Option<&'a str>,
-        ctx: Ctx<'a>,
-        mut check: Option<Check<'a>>,
-    ) -> Walker<'a> {
-        let owner_observer = owner.is_some_and(|o| ctx.model.is_observer_type(o));
-        if let Some(c) = check.as_mut() {
-            // Everything inside an observer impl only runs in service
-            // of observation: the whole body is gated.
-            c.gate_depth = u32::from(owner_observer);
-        }
-        let param_observer = func
-            .params
-            .iter()
-            .map(|p| {
-                let ty = p.ty.as_ref();
-                (owner_observer && p.name.as_deref() == Some("self"))
-                    || ty.is_some_and(|t| t.idents.iter().any(|i| ctx.model.is_observer_type(i)))
-            })
-            .collect();
+    fn new(func: &Func, ctx: Ctx<'a>, check: Option<Check<'a>>) -> Walker<'a> {
         let mut w = Walker {
             ctx,
-            owner,
-            param_observer,
             scopes: vec![BTreeMap::new()],
             boundaries: Vec::new(),
             next_boundary: 0,
@@ -380,21 +295,14 @@ impl<'a> Walker<'a> {
                 params: 1u32 << i.min(31),
                 ..Facts::default()
             };
-            w.bind(
-                name.clone(),
-                facts,
-                Some(Origin::Param {
-                    idx: i,
-                    field: None,
-                }),
-            );
+            w.bind(name.clone(), facts);
         }
         w
     }
 
-    fn bind(&mut self, name: String, facts: Facts, origin: Option<Origin>) {
+    fn bind(&mut self, name: String, facts: Facts) {
         if let Some(top) = self.scopes.last_mut() {
-            top.insert(name, Binding { facts, origin });
+            top.insert(name, facts);
         }
     }
 
@@ -409,21 +317,12 @@ impl<'a> Walker<'a> {
             .iter()
             .enumerate()
             .rev()
-            .find_map(|(d, s)| s.get(name).map(|b| (d, b.facts)))
-    }
-
-    /// The write origin of `name` and the depth of its binding,
-    /// looking through flow-only bindings.
-    pub(crate) fn resolve(&self, name: &str) -> Option<(usize, Origin)> {
-        self.scopes.iter().enumerate().rev().find_map(|(d, s)| {
-            let origin = s.get(name)?.origin.clone()?;
-            Some((d, origin))
-        })
+            .find_map(|(d, s)| s.get(name).map(|f| (d, *f)))
     }
 
     /// The innermost thread-crossing closure a binding at `depth` was
     /// captured across, if any.
-    pub(crate) fn crossing(&self, depth: usize) -> Option<usize> {
+    fn crossing(&self, depth: usize) -> Option<usize> {
         self.boundaries
             .last()
             .filter(|(bd, _)| depth < *bd)
@@ -443,24 +342,6 @@ impl<'a> Walker<'a> {
                 });
             }
         }
-    }
-
-    /// [`report`](Self::report), at most once per `(line, col, rule)`.
-    pub(crate) fn report_once(&mut self, rule: &'static str, at: &Expr, message: String) {
-        let fresh = self
-            .check
-            .as_mut()
-            .is_some_and(|c| c.reported_writes.insert((at.span.line, at.span.col, rule)));
-        if fresh {
-            self.report(rule, at, message);
-        }
-    }
-
-    /// Code under an observation gate in sim-crate library code.
-    pub(crate) fn gated(&self) -> bool {
-        self.check
-            .as_ref()
-            .is_some_and(|c| c.sim && c.gate_depth > 0)
     }
 
     fn record_return(&mut self, f: Facts) {
@@ -557,21 +438,19 @@ impl<'a> Walker<'a> {
                         {
                             self.unit_mismatch(e, got, want, &format!("`{name}`"));
                         }
-                        self.track_config_binding(name, ty.as_ref(), init.as_ref());
-                        let origin = init.as_ref().map_or(Origin::Local, |e| self.let_origin(e));
                         let facts = Facts {
                             unit: declared.or(init_facts.unit),
                             hashy: init_facts.hashy || ty_hashy,
                             ..init_facts
                         };
-                        self.bind(name.clone(), facts, Some(origin));
+                        self.bind(name.clone(), facts);
                     } else {
                         for name in names {
                             let facts = Facts {
                                 unit: unit_from_name(name),
                                 ..init_facts
                             };
-                            self.bind(name.clone(), facts, Some(Origin::Local));
+                            self.bind(name.clone(), facts);
                         }
                     }
                 }
@@ -581,17 +460,6 @@ impl<'a> Walker<'a> {
         }
         self.scopes.pop();
         last
-    }
-
-    /// Binds the names an `if let` / `while let` condition introduces,
-    /// with the facts its evaluation gave them and their write origin.
-    fn bind_cond(&mut self, cond: &Expr) {
-        let mut bound = Vec::new();
-        self.cond_bindings(cond, &mut bound);
-        for (name, origin) in bound {
-            let facts = self.lookup(&name).unwrap_or_default();
-            self.bind(name, facts, Some(origin));
-        }
     }
 
     fn eval(&mut self, e: &Expr) -> Facts {
@@ -612,8 +480,6 @@ impl<'a> Walker<'a> {
                     unit: unit_from_name(name),
                     hashy: self.ctx.symbols.hash_fields.contains(name),
                     params: r.params,
-                    completion: r.completion,
-                    channel: false,
                 }
             }
             ExprKind::Index { recv, index } => {
@@ -622,7 +488,6 @@ impl<'a> Walker<'a> {
                 Facts {
                     taint: r.taint.or(i.taint),
                     params: r.params | i.params,
-                    completion: r.completion,
                     ..Facts::default()
                 }
             }
@@ -663,7 +528,6 @@ impl<'a> Walker<'a> {
                         None
                     },
                     params: l.params | r.params,
-                    completion: l.completion || r.completion,
                     ..Facts::default()
                 }
             }
@@ -686,21 +550,19 @@ impl<'a> Walker<'a> {
                     // index expressions.
                     self.eval(lhs);
                 }
-                self.assign_writes(lhs);
                 if let Some(key) = key {
                     let declared = target_name.as_deref().and_then(unit_from_name);
                     let facts = Facts {
                         unit: declared.or(r.unit),
                         ..r
                     };
-                    self.bind(key, facts, None);
+                    self.bind(key, facts);
                 }
                 Facts::default()
             }
             ExprKind::StructLit { fields, .. } => {
                 let mut taint = None;
                 let mut params = 0u32;
-                let mut completion = false;
                 for (name, value, _line) in fields {
                     let f = match value {
                         Some(v) => {
@@ -715,47 +577,33 @@ impl<'a> Walker<'a> {
                     };
                     taint = taint.or(f.taint);
                     params |= f.params;
-                    completion |= f.completion;
                 }
                 Facts {
                     taint,
                     params,
-                    completion,
                     ..Facts::default()
                 }
             }
             ExprKind::Tuple(es) | ExprKind::Array(es) | ExprKind::MacroCall { args: es, .. } => {
                 let mut taint = None;
                 let mut params = 0u32;
-                let mut completion = false;
-                let mut channel = false;
                 for x in es {
                     let f = self.eval(x);
                     taint = taint.or(f.taint);
                     params |= f.params;
-                    completion |= f.completion;
-                    channel |= f.channel;
                 }
                 Facts {
                     taint,
                     params,
-                    completion,
-                    channel,
                     ..Facts::default()
                 }
             }
             ExprKind::Block(b) => self.run_block(b),
             ExprKind::If { cond, then, els } => {
+                // `if let` names are bound into the enclosing scope by
+                // `eval(cond)`, so they stay visible after the `if`.
                 self.eval(cond);
-                let gate = self.enter_gate(cond);
-                // `if let` names stay visible to the flow facts after
-                // the `if` (they were bound into the enclosing scope by
-                // `eval(cond)`); their write origin is scoped to `then`.
-                self.scopes.push(BTreeMap::new());
-                self.bind_cond(cond);
                 let t = self.run_block(then);
-                self.scopes.pop();
-                self.exit_gate(gate);
                 let f = els.as_ref().map(|e| self.eval(e)).unwrap_or_default();
                 t.join(f)
             }
@@ -766,7 +614,7 @@ impl<'a> Walker<'a> {
                         unit: unit_from_name(n).or(f.unit),
                         ..f
                     };
-                    self.bind(n.clone(), facts, None);
+                    self.bind(n.clone(), facts);
                 }
                 f
             }
@@ -777,7 +625,7 @@ impl<'a> Walker<'a> {
                     self.scopes.push(BTreeMap::new());
                     for n in arm.pat.bound_names() {
                         let unit = unit_from_name(&n).or(s.unit);
-                        self.bind(n, Facts { unit, ..s }, Some(Origin::Local));
+                        self.bind(n, Facts { unit, ..s });
                     }
                     if let Some(g) = &arm.guard {
                         self.eval(g);
@@ -797,18 +645,14 @@ impl<'a> Walker<'a> {
                         origin_line: iter.span.line,
                     })
                 });
-                // Draining a channel in a loop yields values in
-                // completion order.
-                let completion = it.completion || it.channel;
                 for n in names {
                     let facts = Facts {
                         taint,
                         unit: unit_from_name(n),
                         params: it.params,
-                        completion,
                         ..Facts::default()
                     };
-                    self.bind(n.clone(), facts, Some(Origin::Local));
+                    self.bind(n.clone(), facts);
                 }
                 self.run_block(body);
                 self.scopes.pop();
@@ -817,7 +661,6 @@ impl<'a> Walker<'a> {
             ExprKind::While { cond, body } => {
                 self.scopes.push(BTreeMap::new());
                 self.eval(cond);
-                self.bind_cond(cond);
                 self.run_block(body);
                 self.scopes.pop();
                 Facts::default()
@@ -867,7 +710,7 @@ impl<'a> Walker<'a> {
                 unit: unit_from_name(p),
                 ..Facts::default()
             };
-            self.bind(p.clone(), facts, Some(Origin::Local));
+            self.bind(p.clone(), facts);
         }
         let f = self.eval(body);
         self.scopes.pop();
@@ -980,7 +823,6 @@ impl<'a> Walker<'a> {
                 res.taint = res.taint.or(f.taint);
                 res.hashy |= f.hashy;
                 res.params |= f.params;
-                res.completion |= f.completion;
             }
         }
         res
@@ -1000,7 +842,6 @@ impl<'a> Walker<'a> {
             // binds its arguments from parameter 1 on.
             let offset = usize::from(s.has_self && s.arity == args.len() + 1);
             slots = bind_slots(None, offset, args, &arg_facts);
-            self.apply_writes(e, last, s, &slots);
         }
         let arg_taint = arg_facts.iter().find_map(|f| f.taint);
         let arg_params = arg_facts.iter().fold(0u32, |m, f| m | f.params);
@@ -1026,14 +867,6 @@ impl<'a> Walker<'a> {
         {
             return Facts {
                 hashy: true,
-                ..Facts::default()
-            };
-        }
-
-        // Channel construction: both endpoints of the returned pair.
-        if last == "channel" || last == "sync_channel" {
-            return Facts {
-                channel: true,
                 ..Facts::default()
             };
         }
@@ -1099,7 +932,6 @@ impl<'a> Walker<'a> {
             unit: unit_from_name(last),
             hashy: self.ctx.symbols.hash_fns.contains(last),
             params: arg_params,
-            ..Facts::default()
         }
     }
 
@@ -1112,7 +944,6 @@ impl<'a> Walker<'a> {
             Some(s) if s.has_self => bind_slots(Some((recv, r)), 1, args, &arg_facts),
             _ => Vec::new(),
         };
-        self.method_writes(e, recv, method, args.len(), summary, &slots);
         let arg_taint = arg_facts.iter().find_map(|f| f.taint);
         let arg_params = arg_facts.iter().fold(0u32, |m, f| m | f.params);
 
@@ -1123,43 +954,12 @@ impl<'a> Walker<'a> {
             }
         }
 
-        // Completion-order aggregation: appending a channel-received
-        // value means the aggregate's order depends on thread timing.
-        if AGG_METHODS.contains(&method) {
-            for (arg, f) in args.iter().zip(&arg_facts) {
-                if f.completion {
-                    self.report(
-                        SHARD_ORDER_AGG,
-                        arg,
-                        format!(
-                            "fan-out result received in completion order is aggregated with \
-                             `.{method}`; combine results by index (one slot per input) so the \
-                             join is schedule-independent"
-                        ),
-                    );
-                }
-            }
-        }
-
         // Sinks: scheduling/enqueueing a tainted value, or a tainted
         // timestamp, is the finding this rule exists for.
         if SINK_METHODS.contains(&method) {
             for (arg, f) in args.iter().zip(&arg_facts) {
                 self.sink_arg(arg, *f, &format!("`{method}`"));
             }
-        }
-
-        // Channel receives yield completion-ordered values (so does
-        // iterating the receiver).
-        if RECV_METHODS.contains(&method)
-            || (r.channel && matches!(method, "iter" | "try_iter" | "into_iter"))
-        {
-            return Facts {
-                taint: r.taint,
-                params: r.params,
-                completion: true,
-                ..Facts::default()
-            };
         }
 
         // Unit-typed accessors on SimTime/SimDuration.
@@ -1174,7 +974,6 @@ impl<'a> Walker<'a> {
                 taint: r.taint.or(arg_taint),
                 unit: Some(u),
                 params: r.params | arg_params,
-                completion: r.completion,
                 ..Facts::default()
             };
         }
@@ -1208,14 +1007,12 @@ impl<'a> Walker<'a> {
                 unit: r.unit.or_else(|| arg_facts.first().and_then(|f| f.unit)),
                 hashy: r.hashy && method == "clone",
                 params: r.params | arg_params,
-                completion: r.completion,
-                channel: r.channel && method == "clone",
             };
         }
 
         // Interprocedural: a workspace method with a known summary.
-        // Sink/aggregation names were already handled directly above.
-        if !SINK_METHODS.contains(&method) && !AGG_METHODS.contains(&method) {
+        // Sink names were already handled directly above.
+        if !SINK_METHODS.contains(&method) {
             if let Some(s) = summary.filter(|s| s.has_self) {
                 return self.apply_flows(e, method, s, &slots);
             }
@@ -1230,8 +1027,6 @@ impl<'a> Walker<'a> {
             unit: None,
             hashy: r.hashy || self.ctx.symbols.hash_fns.contains(method),
             params: r.params | arg_params,
-            completion: r.completion,
-            channel: r.channel,
         }
     }
 }
@@ -1291,7 +1086,7 @@ mod tests {
     use crate::ast::walk_fns;
     use crate::lexer::lex;
     use crate::parser::parse_file;
-    use crate::symbols::{parse_state_annotations, parse_unit_annotations};
+    use crate::symbols::parse_unit_annotations;
 
     fn run_with(src: &str, families: FlowFamilies) -> Vec<Finding> {
         let toks = lex(src);
@@ -1300,18 +1095,15 @@ mod tests {
         let (anns, bad) = parse_unit_annotations(&toks);
         assert!(bad.is_empty(), "{bad:?}");
         let symbols = Symbols::build(&[(&file, &anns)]);
-        let model = StateModel::build(&[(&file, &parse_state_annotations(&toks).0)]);
-        let summaries = crate::callgraph::build(&[(&file, &anns)], &symbols, &model);
+        let summaries = crate::callgraph::build(&[(&file, &anns)], &symbols);
         let ctx = Ctx {
             symbols: &symbols,
             anns: &anns,
-            model: &model,
             summaries: &summaries,
         };
-        let sim = families.taint;
         let mut out = Vec::new();
-        walk_fns(&file, &mut |owner, f| {
-            out.extend(check_fn(f, owner, ctx, families, sim, "x.rs"));
+        walk_fns(&file, &mut |f| {
+            out.extend(check_fn(f, ctx, families, "x.rs"));
         });
         out
     }
@@ -1586,43 +1378,6 @@ mod tests {
                tx.send(t);\n\
              }");
         assert_eq!(count(&f, SHARD_CROSS_THREAD), 1, "{f:?}");
-    }
-
-    #[test]
-    fn completion_order_aggregation_is_flagged() {
-        let f = run("pub fn bad(n: u64) -> Vec<u64> {\n\
-               let (tx, rx) = channel();\n\
-               let mut out = Vec::new();\n\
-               for _ in 0..n {\n\
-                 let v = rx.recv();\n\
-                 out.push(v);\n\
-               }\n\
-               out\n\
-             }");
-        assert_eq!(count(&f, SHARD_ORDER_AGG), 1, "{f:?}");
-    }
-
-    #[test]
-    fn indexed_join_is_clean() {
-        let f = run("pub fn good(n: u64, out: &mut Vec<u64>) {\n\
-               let (tx, rx) = channel();\n\
-               for _ in 0..n {\n\
-                 let (idx, v) = rx.recv();\n\
-                 out[idx] = v;\n\
-               }\n\
-             }");
-        assert_eq!(count(&f, SHARD_ORDER_AGG), 0, "{f:?}");
-    }
-
-    #[test]
-    fn draining_a_channel_in_a_for_loop_carries_completion_order() {
-        let f = run("pub fn bad(acc: &mut Vec<u64>) {\n\
-               let (tx, rx) = channel();\n\
-               for v in rx.iter() {\n\
-                 acc.push(v);\n\
-               }\n\
-             }");
-        assert_eq!(count(&f, SHARD_ORDER_AGG), 1, "{f:?}");
     }
 
     #[test]

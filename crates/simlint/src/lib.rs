@@ -18,33 +18,28 @@
 //! | `span-attribution` | every `SpanKind` variant is constructed by the tracer |
 //! | `no-float-accum` | telemetry/metrics paths accumulate integers, not `f64` sums |
 //! | `bad-suppression` | suppressions are justified and actually used |
+//! | `shard-shared-state` | no `static mut`, interior-mutable or atomic statics, or `Relaxed` atomics |
 //! | `nondet-taint` | nondeterministic values never flow into event scheduling |
 //! | `time-unit` | µs/ms/s units agree across literals, consts, params, and `SimTime` |
 //! | `match-exhaustive` | sim-enum matches name every variant, no `_` catch-alls |
 //! | `shard-cross-thread` | tainted values never cross thread boundaries (closures, channels) |
-//! | `shard-shared-state` | no `static mut`, interior-mutable statics, `Relaxed` atomics, or static writes |
-//! | `shard-order-agg` | fan-out results are joined by index, not completion order |
-//! | `observer-purity` | observation-gated code has zero sim-state write effects, transitively |
-//! | `frozen-config` | no `SystemConfig` field mutation after `validate()` returns |
 //!
-//! The first nine are token-stream heuristics; the rest run on a real
-//! (if lightweight) syntax tree: [`parser`] builds an [`ast`] from the
-//! lexer's tokens, [`symbols`] collects cross-file facts (enum
-//! variants, hash-returning functions, declared time units), and
-//! [`effects`] classifies workspace state as sim vs observer. One
+//! The first ten are token-stream heuristics; the other four run on a
+//! real (if lightweight) syntax tree: [`parser`] builds an [`ast`] from
+//! the lexer's tokens and [`symbols`] collects cross-file facts (enum
+//! variants, hash-returning functions, declared time units). One
 //! summary engine then does the interprocedural work: [`callgraph`]
-//! solves one summary per function — taint masks, return unit, and the
-//! sim state (fields, statics, `&mut` parameters) it may *write* — as a
-//! fixpoint over the call graph's strongly connected components, and
+//! solves one summary per function — taint masks and return unit — as
+//! a fixpoint over the call graph's strongly connected components, and
 //! [`dataflow`]'s single body walker, run in summarize mode by that
-//! solver and in check mode by the rules, pushes taint, unit,
-//! thread-crossing and write facts through each function body. So
-//! nondeterminism laundered through helper functions is still caught,
-//! and observation-gated code is proven not to perturb the simulation
-//! — statically, where the golden-digest suite checks three seeds
-//! dynamically. Everything is hand-rolled (lexer included) because the
-//! build environment has no registry access: no `syn`, no
-//! `proc-macro2`, no `serde`.
+//! solver and in check mode by the rules, pushes taint, unit and
+//! thread-crossing facts through each function body. So nondeterminism
+//! laundered through helper functions is still caught. What the types
+//! already prove is left to rustc: a validated `SystemConfig` is a
+//! read-only `Frozen` value, and the observers own no sim state.
+//! Everything is hand-rolled (lexer included) because the build
+//! environment has no registry access: no `syn`, no `proc-macro2`, no
+//! `serde`.
 //!
 //! # Suppressions
 //!
@@ -80,7 +75,6 @@ pub mod ast;
 pub mod baseline;
 pub mod callgraph;
 pub mod dataflow;
-pub mod effects;
 pub mod fix;
 pub mod json;
 pub mod lexer;
@@ -94,14 +88,13 @@ pub mod workspace;
 use std::fs;
 use std::path::Path;
 
-use effects::StateAnnotations;
 use fix::{FileFix, StaleAllow};
 use lexer::{lex, Token};
 use report::{parse_suppressions, Finding, Report, Suppression};
 use rules::{
     check_ast, check_file, rule_named, span_attribution, FileInput, SPAN_DECL_PATH, SPAN_REF_PATHS,
 };
-use symbols::{parse_state_annotations, parse_unit_annotations, Symbols, UnitAnnotations};
+use symbols::{parse_unit_annotations, Symbols, UnitAnnotations};
 use workspace::{DiscoverError, FileRole, Workspace};
 
 /// Whether `rel_path` is a crate root (`src/lib.rs` or `src/main.rs`).
@@ -217,21 +210,15 @@ struct FileData {
     is_crate_root: bool,
 }
 
-/// Shared front half of comment handling: parses the suppression,
-/// unit-annotation, and state-annotation comments, reports the
-/// malformed ones into `raw`, and computes each suppression's node
-/// scope.
+/// Shared front half of comment handling: parses the suppression and
+/// unit-annotation comments, reports the malformed ones into `raw`,
+/// and computes each suppression's node scope.
 fn parse_comment_directives(
     tokens: &[Token],
     file: &ast::File,
     rel_path: &str,
     raw: &mut Vec<Finding>,
-) -> (
-    Vec<Suppression>,
-    Vec<(u32, u32)>,
-    UnitAnnotations,
-    StateAnnotations,
-) {
+) -> (Vec<Suppression>, Vec<(u32, u32)>, UnitAnnotations) {
     let (suppressions, malformed) = parse_suppressions(tokens);
     for (line, col, msg) in malformed {
         raw.push(Finding {
@@ -268,23 +255,12 @@ fn parse_comment_directives(
             fingerprint: 0,
         });
     }
-    let (state_anns, bad_states) = parse_state_annotations(tokens);
-    for (line, col, msg) in bad_states {
-        raw.push(Finding {
-            rule: "observer-purity",
-            path: rel_path.to_owned(),
-            line,
-            col,
-            message: msg,
-            fingerprint: 0,
-        });
-    }
     let spans = ast::collect_scope_spans(file);
     let scopes = suppressions
         .iter()
         .map(|s| suppression_scope(s.line, &spans))
         .collect();
-    (suppressions, scopes, anns, state_anns)
+    (suppressions, scopes, anns)
 }
 
 /// Applies suppressions to one finding: the first suppression whose
@@ -370,7 +346,7 @@ pub fn lint_workspace_full(root: &Path) -> Result<(Report, Vec<FileFix>), Discov
     let ws = Workspace::discover(root)?;
     let mut report = Report::default();
     let mut files: Vec<FileData> = Vec::new();
-    let mut parsed: Vec<(ast::File, UnitAnnotations, StateAnnotations)> = Vec::new();
+    let mut parsed: Vec<(ast::File, UnitAnnotations)> = Vec::new();
     let mut raw: Vec<Finding> = Vec::new();
 
     // Pass 1: read, lex, parse every file, fanned out across threads —
@@ -388,7 +364,7 @@ pub fn lint_workspace_full(root: &Path) -> Result<(Report, Vec<FileFix>), Discov
     });
     for (f, lexed) in ws.files.iter().zip(lexed) {
         let (tokens, file) = lexed?;
-        let (suppressions, scopes, anns, state_anns) =
+        let (suppressions, scopes, anns) =
             parse_comment_directives(&tokens, &file, &f.rel_path, &mut raw);
         let used = suppressions
             .iter()
@@ -404,7 +380,7 @@ pub fn lint_workspace_full(root: &Path) -> Result<(Report, Vec<FileFix>), Discov
             used,
             is_crate_root: is_crate_root(&f.rel_path),
         });
-        parsed.push((file, anns, state_anns));
+        parsed.push((file, anns));
     }
 
     // The symbol table sees every library file — sim crates for the
@@ -415,21 +391,9 @@ pub fn lint_workspace_full(root: &Path) -> Result<(Report, Vec<FileFix>), Discov
         .iter()
         .zip(&parsed)
         .filter(|(f, _)| f.role == FileRole::Lib)
-        .map(|(_, (file, anns, _))| (file, anns))
+        .map(|(_, (file, anns))| (file, anns))
         .collect();
     let symbols = Symbols::build(&symbol_inputs);
-
-    // The state model (sim vs observer classification) sees the same
-    // library scope as the symbol table, so an observer struct declared
-    // in one crate classifies fields referenced from another.
-    let state_inputs: Vec<(&ast::File, &StateAnnotations)> = ws
-        .files
-        .iter()
-        .zip(&parsed)
-        .filter(|(f, _)| f.role == FileRole::Lib)
-        .map(|(_, (file, _, state_anns))| (file, state_anns))
-        .collect();
-    let state_model = effects::StateModel::build(&state_inputs);
 
     // Function summaries span exactly the files the dataflow rules will
     // visit (sim-crate libraries plus the bench library), so a helper
@@ -439,9 +403,9 @@ pub fn lint_workspace_full(root: &Path) -> Result<(Report, Vec<FileFix>), Discov
         .iter()
         .zip(&parsed)
         .filter(|(f, _)| rules::flow_families_for(&f.crate_name, f.role).is_some())
-        .map(|(_, (file, anns, _))| (file, anns))
+        .map(|(_, (file, anns))| (file, anns))
         .collect();
-    let summaries = callgraph::build(&flow_inputs, &symbols, &state_model);
+    let summaries = callgraph::build(&flow_inputs, &symbols);
     report.dropped_symbols = summaries.dropped();
 
     // Pass 2: token rules + AST/dataflow rules per file, fanned out the
@@ -450,7 +414,7 @@ pub fn lint_workspace_full(root: &Path) -> Result<(Report, Vec<FileFix>), Discov
     let per_file: Vec<Vec<Finding>> = par_map(&indices, |&i| {
         let f = &ws.files[i];
         let fd = &files[i];
-        let (file, anns, _) = &parsed[i];
+        let (file, anns) = &parsed[i];
         let input = FileInput {
             crate_name: &f.crate_name,
             role: f.role,
@@ -459,14 +423,7 @@ pub fn lint_workspace_full(root: &Path) -> Result<(Report, Vec<FileFix>), Discov
             is_crate_root: fd.is_crate_root,
         };
         let mut out = check_file(&input);
-        out.extend(check_ast(
-            &input,
-            file,
-            &symbols,
-            anns,
-            &summaries,
-            &state_model,
-        ));
+        out.extend(check_ast(&input, file, &symbols, anns, &summaries));
         out
     });
     for findings in per_file {
@@ -536,7 +493,7 @@ pub fn lint_workspace_full(root: &Path) -> Result<(Report, Vec<FileFix>), Discov
     // of its enclosing item.
     let item_spans: Vec<Vec<ast::Span>> = parsed
         .iter()
-        .map(|(file, _, _)| ast::collect_item_spans(file))
+        .map(|(file, _)| ast::collect_item_spans(file))
         .collect();
     let stamp = |f: &mut Finding| {
         if let Some(i) = files.iter().position(|fd| fd.rel_path == f.path) {
@@ -571,10 +528,8 @@ pub fn lint_source(
     let tokens = lex(src);
     let file = parser::parse_file(&tokens);
     let mut raw: Vec<Finding> = Vec::new();
-    let (suppressions, scopes, anns, state_anns) =
-        parse_comment_directives(&tokens, &file, rel_path, &mut raw);
+    let (suppressions, scopes, anns) = parse_comment_directives(&tokens, &file, rel_path, &mut raw);
     let symbols = Symbols::build(&[(&file, &anns)]);
-    let state_model = effects::StateModel::build(&[(&file, &state_anns)]);
     let input = FileInput {
         crate_name,
         role,
@@ -582,16 +537,9 @@ pub fn lint_source(
         tokens: &tokens,
         is_crate_root: crate_root,
     };
-    let summaries = callgraph::build(&[(&file, &anns)], &symbols, &state_model);
+    let summaries = callgraph::build(&[(&file, &anns)], &symbols);
     raw.extend(check_file(&input));
-    raw.extend(check_ast(
-        &input,
-        &file,
-        &symbols,
-        &anns,
-        &summaries,
-        &state_model,
-    ));
+    raw.extend(check_ast(&input, &file, &symbols, &anns, &summaries));
     if !rules::span_variants(&tokens).is_empty() {
         raw.extend(span_attribution(
             rel_path,
@@ -664,16 +612,32 @@ let r = thread_rng();
 
     #[test]
     fn unknown_rule_in_suppression_is_reported() {
-        let src = "// simlint::allow(no-such-rule): hmm\nlet r = thread_rng();\n";
-        let f = lint_source(
-            src,
-            "mlb-ntier",
-            FileRole::Lib,
-            "crates/ntier/src/x.rs",
-            false,
-        );
-        assert!(f.iter().any(|f| f.rule == "bad-suppression"));
-        assert!(f.iter().any(|f| f.rule == "no-ambient-rng"));
+        // The retired rules are unknown now: a leftover allow for one
+        // fails loudly instead of silencing nothing forever.
+        for rule in [
+            "no-such-rule",
+            "observer-purity",
+            "frozen-config",
+            "shard-order-agg",
+        ] {
+            let src = format!("// simlint::allow({rule}): hmm\nlet r = thread_rng();\n");
+            let f = lint_source(
+                &src,
+                "mlb-ntier",
+                FileRole::Lib,
+                "crates/ntier/src/x.rs",
+                false,
+            );
+            assert!(
+                f.iter().any(|f| f.rule == "bad-suppression"
+                    && f.message == format!("suppression names unknown rule `{rule}`")),
+                "{rule}: {f:?}"
+            );
+            assert!(
+                f.iter().any(|f| f.rule == "no-ambient-rng"),
+                "{rule}: {f:?}"
+            );
+        }
     }
 
     #[test]

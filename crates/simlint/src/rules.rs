@@ -11,7 +11,6 @@
 use crate::ast;
 use crate::callgraph::Summaries;
 use crate::dataflow::{self, Ctx};
-use crate::effects::StateModel;
 use crate::lexer::{Token, TokenKind};
 use crate::report::Finding;
 use crate::symbols::{Symbols, UnitAnnotations};
@@ -70,7 +69,7 @@ pub const SPAN_REF_PATHS: [&str; 1] = ["crates/ntier/src/trace.rs"];
 
 /// Every registered rule. The fixture meta-test enforces one triggering
 /// and one clean fixture per entry.
-pub const RULES: [RuleMeta; 17] = [
+pub const RULES: [RuleMeta; 14] = [
     RuleMeta {
         name: "no-wall-clock",
         summary: "Instant::now/SystemTime banned in sim-crate library code; sim time must come from the event queue",
@@ -173,51 +172,21 @@ pub const RULES: [RuleMeta; 17] = [
     RuleMeta {
         name: "shard-cross-thread",
         summary: "tainted or hash-ordered values may not be captured by thread-crossing closures (thread::scope/spawn/par_runs) or sent through channels",
-        rationale: "Once the kernel shards across cores, values crossing a thread boundary \
-                    must be deterministic and unshared: a tainted capture, a channel send of \
-                    one, or a closure that writes a captured binding makes one shard's \
-                    timing visible to another.",
-        example: "par_runs(n, |i| { total += run(i); })   // finding: closure writes captured `total`",
+        rationale: "Values crossing a thread boundary must be deterministic: a tainted or \
+                    hash-ordered capture, or a channel send of one, makes one worker's \
+                    timing visible to another. Writes to a capture need no rule: rustc \
+                    refuses two threads a &mut to one binding, and par_runs takes Fn + Sync.",
+        example: "let t0 = Instant::now();\npar_runs(seeds, |s| run(s, t0))   // finding: wall-clock value captured",
     },
     RuleMeta {
         name: "shard-shared-state",
-        summary: "static mut, interior-mutable statics (RefCell/Cell/Mutex/RwLock/UnsafeCell), Relaxed atomics, and static writes are cross-thread nondeterminism hazards in sim-crate library code",
-        rationale: "static mut, interior-mutable statics, Relaxed atomics, and writes to \
-                    process globals are invisible cross-shard channels: one shard's timing \
-                    leaks into another's state in ways no single-threaded test can catch. \
-                    Shard state must be owned by exactly one shard and joined by index.",
-        example: "static HITS: AtomicU64 = ..;\nHITS.fetch_add(1, Ordering::SeqCst);   // finding: sim code writes a process global",
-    },
-    RuleMeta {
-        name: "shard-order-agg",
-        summary: "channel-received fan-out results must be combined by index, not appended in completion order",
-        rationale: "Collecting fan-out results in completion order bakes thread scheduling \
-                    into the output. Joining by shard index makes the merged result \
-                    independent of which shard finished first.",
-        example: "while let Ok(r) = rx.recv() { out.push(r) }   // finding\nout[r.shard] = r;                              // ok: joined by index",
-    },
-    RuleMeta {
-        name: "observer-purity",
-        summary: "observation-gated code (cfg.trace/cfg.metrics/cfg.prof guards, observer impls) must have zero sim-state write effects, transitively",
-        rationale: "The paper's methodology hinges on instrumentation that cannot perturb the \
-                    timing it measures: millibottlenecks are sub-second stalls, so even a \
-                    counter bump on the sim side of an `if cfg.trace` changes what is being \
-                    observed. The write-effect engine summarizes what every function may \
-                    mutate (fields, statics, &mut params, transitively through helpers and \
-                    closures) and proves observation-gated code pure of sim-state writes — \
-                    statically, for every seed at once, where the golden digests check three. \
-                    Reported once, at the outermost gated call.",
-        example: "if self.cfg.trace {\n    self.advance_clock();   // finding here: helper writes self.clock_us\n}",
-    },
-    RuleMeta {
-        name: "frozen-config",
-        summary: "no SystemConfig field mutation after validate() returns (or through a stored config, which is post-validate by construction)",
-        rationale: "SystemConfig is mutable while it is being built and frozen the moment \
-                    validate() returns: later field writes skip re-validation, so a run can \
-                    start from a config no validator ever saw — and a mid-run write changes \
-                    behavior in a way (config, seed) no longer describes. Builder methods in \
-                    impl SystemConfig are exempt.",
-        example: "cfg.validate()?;\ncfg.population = 200;   // finding: post-validate mutation",
+        summary: "static mut, interior-mutable statics (RefCell/Cell/Mutex/RwLock/UnsafeCell/Atomic*) and Relaxed atomics are cross-thread nondeterminism hazards in sim-crate library code",
+        rationale: "static mut, interior-mutable or atomic statics, and Relaxed atomics are \
+                    invisible cross-run channels: one run's timing leaks into another's \
+                    state in ways no single-threaded test can catch. A static can only be \
+                    written through unsafe (which crate-header forbids) or interior \
+                    mutability, so flagging those declarations covers every static write.",
+        example: "static HITS: AtomicU64 = AtomicU64::new(0);   // finding at the declaration",
     },
 ];
 
@@ -371,17 +340,24 @@ fn no_system_io(input: &FileInput<'_>, code: &[&Token], out: &mut Vec<Finding>) 
     }
 }
 
-/// Types providing interior mutability: a static of one of these is
-/// shared mutable state reachable from every future event-queue shard.
+/// Types providing interior mutability: a static of one of these (or
+/// of any `Atomic*` type) is shared mutable state reachable from every
+/// thread.
 const INTERIOR_MUTABLE: [&str; 5] = ["RefCell", "Cell", "Mutex", "RwLock", "UnsafeCell"];
 
+fn is_interior_mutable(ty: &str) -> bool {
+    INTERIOR_MUTABLE.contains(&ty) || ty.starts_with("Atomic")
+}
+
 /// `shard-shared-state`: `static mut`, statics with interior-mutable
-/// types, and `Ordering::Relaxed` atomic accesses in sim-crate library
-/// code. All three are invisible cross-thread channels: once the event
-/// queue is sharded across cores, any of them lets one shard's timing
-/// leak into another shard's state, which breaks byte-reproducibility
-/// in exactly the way no single-threaded test can catch. Shard state
-/// must be threaded through explicit ownership instead.
+/// or atomic types, and `Ordering::Relaxed` atomic accesses in
+/// sim-crate library code. All three are invisible cross-thread
+/// channels: any of them lets one run's timing leak into another's
+/// state, which breaks byte-reproducibility in exactly the way no
+/// single-threaded test can catch. Safe code can write a static only
+/// through interior mutability, so flagging the declaration covers
+/// every static write. State must be threaded through explicit
+/// ownership instead.
 fn shard_shared_state(input: &FileInput<'_>, code: &[&Token], out: &mut Vec<Finding>) {
     for (i, t) in code.iter().enumerate() {
         // `'static` lifetimes lex as one Lifetime token, so an Ident
@@ -405,7 +381,7 @@ fn shard_shared_state(input: &FileInput<'_>, code: &[&Token], out: &mut Vec<Find
                 if n.is_punct('=') || n.is_punct(';') || n.is_punct('{') {
                     break;
                 }
-                if n.kind == TokenKind::Ident && INTERIOR_MUTABLE.contains(&n.text.as_str()) {
+                if n.kind == TokenKind::Ident && is_interior_mutable(&n.text) {
                     out.push(finding(
                         input,
                         "shard-shared-state",
@@ -970,43 +946,31 @@ pub fn flow_families_for(crate_name: &str, role: FileRole) -> Option<dataflow::F
 }
 
 /// Runs the AST/dataflow rule families (`nondet-taint`, `time-unit`,
-/// `shard-cross-thread`, `shard-order-agg`, `match-exhaustive`) plus the
-/// write-effect rules (`observer-purity`, `frozen-config`, the
-/// field-sensitive shard upgrades) on one parsed file. Scope comes from
-/// [`flow_families_for`]; `#[cfg(test)]` modules are skipped.
-/// `summaries` carries the workspace-wide function summaries, so the
-/// body walker tracks taint, units and writes across call boundaries.
+/// `shard-cross-thread`, `match-exhaustive`) on one parsed file. Scope
+/// comes from [`flow_families_for`]; `#[cfg(test)]` modules are
+/// skipped. `summaries` carries the workspace-wide function summaries,
+/// so the body walker tracks taint and units across call boundaries.
 pub fn check_ast(
     input: &FileInput<'_>,
     file: &ast::File,
     symbols: &Symbols,
     anns: &UnitAnnotations,
     summaries: &Summaries,
-    model: &StateModel,
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
     let Some(families) = flow_families_for(input.crate_name, input.role) else {
         return findings;
     };
-    // match-exhaustive is about sim-enum vocabulary, not dataflow, and
-    // the purity/frozen-config rules bind the simulation itself: both
-    // apply exactly to sim-crate library code, not to the bench crate.
+    // match-exhaustive is about sim-enum vocabulary, not dataflow: it
+    // applies exactly to sim-crate library code, not to the bench crate.
     let sim = input.in_sim_crate();
     let ctx = Ctx {
         symbols,
         anns,
-        model,
         summaries,
     };
-    ast::walk_fns(file, &mut |owner, func| {
-        findings.extend(dataflow::check_fn(
-            func,
-            owner,
-            ctx,
-            families,
-            sim,
-            input.rel_path,
-        ));
+    ast::walk_fns(file, &mut |func| {
+        findings.extend(dataflow::check_fn(func, ctx, families, input.rel_path));
         if sim {
             match_exhaustive(input, func, symbols, &mut findings);
         }

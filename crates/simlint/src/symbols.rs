@@ -110,44 +110,6 @@ pub fn parse_unit_annotations(
     (anns, bad)
 }
 
-/// The marker that introduces a sim/observer state classification
-/// inside a comment (consumed by the write-effect engine).
-pub const STATE_MARKER: &str = "simlint::state";
-
-/// Extracts `// simlint::state(sim|observer)` annotations from a
-/// file's comment tokens, same shape and coverage convention as
-/// [`parse_unit_annotations`]. Malformed arguments are reported so a
-/// typo'd class cannot silently reclassify state.
-pub fn parse_state_annotations(
-    tokens: &[crate::lexer::Token],
-) -> (crate::effects::StateAnnotations, Vec<(u32, u32, String)>) {
-    let mut anns = BTreeMap::new();
-    let mut bad = Vec::new();
-    for t in tokens.iter().filter(|t| t.is_comment()) {
-        let trimmed = t.text.trim_start();
-        let Some(rest) = trimmed.strip_prefix(STATE_MARKER) else {
-            continue;
-        };
-        let arg = rest
-            .trim_start()
-            .strip_prefix('(')
-            .and_then(|r| r.split_once(')'))
-            .map(|(inner, _)| inner);
-        match arg.and_then(crate::effects::StateClass::from_annotation) {
-            Some(c) => {
-                anns.insert(t.line, c);
-            }
-            None => bad.push((
-                t.line,
-                t.col,
-                "malformed simlint::state annotation (expected `simlint::state(sim|observer)`)"
-                    .to_owned(),
-            )),
-        }
-    }
-    (anns, bad)
-}
-
 /// Looks up the declared unit for a name defined at `line`: an explicit
 /// annotation on the same or the previous line wins over the name's
 /// suffix.
@@ -320,14 +282,6 @@ mod tests {
     fn malformed_unit_annotation_is_reported() {
         let toks = lex("// simlint::unit(hours)\npub const X: u64 = 1;");
         let (anns, bad) = parse_unit_annotations(&toks);
-        assert!(anns.is_empty());
-        assert_eq!(bad.len(), 1);
-    }
-
-    #[test]
-    fn malformed_state_annotation_is_reported() {
-        let toks = lex("// simlint::state(tracing)\npub struct T { pub x: u64 }");
-        let (anns, bad) = parse_state_annotations(&toks);
         assert!(anns.is_empty());
         assert_eq!(bad.len(), 1);
     }

@@ -133,10 +133,10 @@ fn fix_is_idempotent_across_the_whole_tree() {
 
 #[test]
 fn stale_write_effect_suppressions_are_fixed() {
-    // The write-effect rules ride the same stale-suppression cycle as
-    // the older families: an allow for `observer-purity` or
-    // `frozen-config` that no longer silences anything is itself a
-    // finding, one fix pass removes it, and a second pass is a no-op.
+    // The write-effect rules `observer-purity` and `frozen-config` are
+    // retired (the compiler proves what they checked), so a leftover
+    // allow for either names an unknown rule: it is a finding, one fix
+    // pass removes it, and a second pass is a no-op.
     let root = scaffold("effects");
     fs::write(
         root.join("crates/sim/src/obs.rs"),
@@ -171,24 +171,21 @@ fn stale_write_effect_suppressions_are_fixed() {
 }
 
 #[test]
-fn live_write_effect_suppressions_survive_the_fix() {
-    // An allow that actually silences an `observer-purity` finding (a
-    // gated call whose callee writes sim state) is live and must not be
-    // pruned by `--fix`.
-    let root = scaffold("effects-live");
+fn live_dataflow_suppressions_survive_the_fix() {
+    // An allow that actually silences a `nondet-taint` finding (a
+    // tainted value laundered through a helper into a scheduling sink)
+    // is live and must not be pruned by `--fix`. The wall-clock read
+    // carries its own live allow.
+    let root = scaffold("dataflow-live");
     fs::write(
         root.join("crates/sim/src/lib.rs"),
         "#![forbid(unsafe_code)]\n//! Scaffold crate.\n\n\
-         pub struct Cfg {\n    pub trace: bool,\n}\n\n\
-         pub struct Sys {\n    pub cfg: Cfg,\n    pub steps: u64,\n}\n\n\
-         impl Sys {\n\
-         \x20   fn advance(&mut self) {\n        self.steps += 1;\n    }\n\n\
-         \x20   pub fn tick(&mut self) {\n\
-         \x20       if self.cfg.trace {\n\
-         \x20           // simlint::allow(observer-purity): fixture exercises a live allow\n\
-         \x20           self.advance();\n\
-         \x20       }\n\
-         \x20   }\n\
+         fn hop(v: u64) -> u64 {\n    v\n}\n\n\
+         pub fn tick(q: &mut Vec<u64>) {\n\
+         \x20   // simlint::allow(no-wall-clock): fixture needs a nondeterministic source\n\
+         \x20   let t = std::time::Instant::now().elapsed().as_micros() as u64;\n\
+         \x20   // simlint::allow(nondet-taint): fixture exercises a live allow\n\
+         \x20   q.push(hop(t));\n\
          }\n",
     )
     .unwrap();
@@ -198,7 +195,7 @@ fn live_write_effect_suppressions_survive_the_fix() {
     let summary = apply_fixes(&fixes).unwrap();
     assert_eq!(summary.files_changed, 0, "live allow must not be touched");
     let src = fs::read_to_string(root.join("crates/sim/src/lib.rs")).unwrap();
-    assert!(src.contains("simlint::allow(observer-purity)"));
+    assert!(src.contains("simlint::allow(nondet-taint)"));
 
     fs::remove_dir_all(&root).unwrap();
 }

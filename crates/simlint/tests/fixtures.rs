@@ -30,19 +30,10 @@ fn context(rule: &str) -> (&'static str, FileRole, &'static str, bool) {
         // the single-file symbol table knows the variant set. The shard
         // family shares the same natural habitat.
         "nondet-taint" | "time-unit" | "match-exhaustive" | "shard-cross-thread"
-        | "shard-shared-state" | "shard-order-agg" => (
+        | "shard-shared-state" => (
             "mlb-simkernel",
             FileRole::Lib,
             "crates/simkernel/src/fixture.rs",
-            false,
-        ),
-        // The write-effect rules bind sim-crate library code; the
-        // fixtures declare their own observer/config types so the
-        // single-file state model classifies them.
-        "observer-purity" | "frozen-config" => (
-            "mlb-ntier",
-            FileRole::Lib,
-            "crates/ntier/src/fixture.rs",
             false,
         ),
         // panic-hygiene only binds the event-loop hot paths, so the
@@ -141,30 +132,21 @@ fn clean_fixtures_are_clean() {
 /// *exact* number of findings of the owning rule each must produce.
 /// Exactness matters for the interprocedural ones: a finding per hop
 /// (instead of one at the sink) would drown real reports in echoes.
-const EXTRA_FIXTURES: [(&str, &str, usize); 12] = [
+const EXTRA_FIXTURES: [(&str, &str, usize); 6] = [
     ("nondet-taint", "two_hop_trigger", 1),
     ("nondet-taint", "two_hop_clean", 0),
-    // A sim-state write laundered through two helper hops reports once,
-    // at the outermost observation-gated call.
-    ("observer-purity", "two_hop_trigger", 1),
-    ("observer-purity", "two_hop_clean", 0),
-    // The same through a mutually recursive pair (one call-graph SCC).
-    ("observer-purity", "recursive_trigger", 1),
-    ("observer-purity", "recursive_clean", 0),
     // Declared units propagate through function RETURN values.
     ("time-unit", "return_unit_trigger", 1),
     ("time-unit", "return_unit_clean", 0),
-    // Write-effect upgrades: a closure writing a capture across a
-    // thread boundary, and sim code writing a process global.
-    ("shard-cross-thread", "write_capture_trigger", 1),
-    ("shard-cross-thread", "write_capture_clean", 0),
+    // A written static is caught where it is declared: safe code can
+    // only write one through interior mutability (here an atomic).
     ("shard-shared-state", "static_write_trigger", 1),
     ("shard-shared-state", "static_write_clean", 0),
 ];
 
 /// Trigger fixtures that must produce *exactly one* finding overall —
 /// the violation under test and no collateral noise.
-const EXACTLY_ONE: [&str; 3] = ["shard-cross-thread", "shard-order-agg", "observer-purity"];
+const EXACTLY_ONE: [&str; 1] = ["shard-cross-thread"];
 
 #[test]
 fn extra_fixtures_produce_exact_finding_counts() {

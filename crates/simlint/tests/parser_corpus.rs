@@ -18,7 +18,7 @@ fn parse(src: &str) -> File {
 
 fn fn_names(file: &File) -> Vec<String> {
     let mut names = Vec::new();
-    ast::walk_fns(file, &mut |_impl_name, f| names.push(f.name.clone()));
+    ast::walk_fns(file, &mut |f| names.push(f.name.clone()));
     names
 }
 

@@ -28,8 +28,8 @@ fn workspace_is_simlint_clean() {
         report.files_scanned.len()
     );
     // Symbols whose same-named definitions have conflicting arities are
-    // dropped from the interprocedural summaries, so taint and writes
-    // through them go unseen. The count may only fall.
+    // dropped from the interprocedural summaries, so taint through
+    // them goes unseen. The count may only fall.
     assert!(
         report.dropped_symbols <= 16,
         "simlint now drops {} symbols with conflicting arities (ceiling 16): \
